@@ -56,18 +56,6 @@ class AlbanesePoint:
         }
 
 
-@dataclass(frozen=True)
-class LieMHSExample:
-    """Weight and Hodge-type bookkeeping of the two-step free nilpotent Lie algebra."""
-
-    basis: tuple = ("N0", "N1", "[N1,N0]")
-    weights: tuple = (-2, -2, -4)
-    types: tuple = ((-1, -1), (-1, -1), (-2, -2))
-
-
-LIE_MHS = LieMHSExample()
-
-
 def raw_coordinates(x, cfg: QuadratureConfig = DEFAULT_CONFIG,
                     loop_prefix: str = "", level: int = 2) -> tuple:
     """Unreduced (alpha, beta, lambda) of x along the chosen homotopy class."""

@@ -2,16 +2,23 @@
 
 Two independent evaluation routes are kept deliberately separate:
 
-* ``signature`` integrates the parallel-transport equation
-  S'(t) = S(t)·(f0(t) e0 + f1(t) e1) with an adaptive high-order
-  Runge-Kutta solver, giving every coefficient up to the level at once;
+* ``signature`` (through ``transport``) solves the parallel-transport
+  equation S'(t) = S(t)·(f0(t) e0 + f1(t) e1) by spectral integration
+  (Greengard 1991).  The equation is strictly triangular in word length,
+  so on a panel every level is the antiderivative of the level below
+  times a form; each level is integrated for all of its words at once
+  on Chebyshev-Lobatto nodes with the Clenshaw-Curtis integration
+  matrix.  A panel is bisected until the Chebyshev tail of its forcing
+  is negligible, and the state is carried from panel to panel and from
+  segment to segment.
 * ``iterated_integral`` evaluates a single simplex integral directly by
-  nested Gauss-Legendre quadrature with panel refinement.
+  nested Gauss-Legendre quadrature on uniformly doubled panels.
 
-The second cross-checks the first at low word length.  Tangential base
-points at the puncture 0 (tangent vector +1) are handled by the
-regularization ladder: multiply the signature from epsilon on the left
-by exp(log(eps)·e0) and extrapolate the ladder in the basis
+The two share neither nodes nor refinement rule, so the second
+cross-checks the first at low word length.  Tangential base points at
+the puncture 0 (tangent vector +1) are handled by the regularization
+ladder: multiply the signature from epsilon on the left by
+exp(log(eps)·e0) and extrapolate the ladder in the basis
 {1, eps, eps·log(eps), ...}, which matches the analytic form of the
 epsilon-error exactly.
 """
@@ -24,7 +31,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from numpy.polynomial import chebyshev
 
 from .paths import (DomainError, JUNCTION_RADIUS, LogSegment, Path,
                     canonical_reach, loop_from_group_word, make_path)
@@ -42,6 +49,8 @@ class ConvergenceError(RuntimeError):
 class QuadratureConfig:
     abs_tol: float = 1e-10
     max_subdivisions: int = 10
+    # panel evaluations one transport may spend before it gives up
+    max_panels: int = 4096
     # geometric ladder; the tail rungs drive the extrapolated limit
     regularization_epsilons: tuple = (1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8)
 
@@ -50,6 +59,8 @@ class QuadratureConfig:
             raise DomainError("abs_tol must be positive")
         if self.max_subdivisions < 1:
             raise DomainError("max_subdivisions must be positive")
+        if self.max_panels < 1:
+            raise DomainError("max_panels must be positive")
         eps = self.regularization_epsilons
         if not eps or any(e <= 0 for e in eps) or any(a <= b for a, b in zip(eps, eps[1:])):
             raise DomainError("regularization epsilons must decrease strictly toward 0")
@@ -58,15 +69,15 @@ class QuadratureConfig:
 DEFAULT_CONFIG = QuadratureConfig()
 
 
-# --- word indexing for the transport state ------------------------------------
+# --- word indexing ---------------------------------------------------------------
+# Words are stored in shortlex order, so the word of length k read as the
+# binary number b sits at index 2**k - 1 + b.
 
 class _WordTable:
     def __init__(self, level: int):
         self.level = level
         self.words = word_basis(level)
         self.index = {w: i for i, w in enumerate(self.words)}
-        self.parent = np.array([self.index[w[:-1]] if w else 0 for w in self.words])
-        self.last = np.array([int(w[-1]) if w else 0 for w in self.words])
         self.dim = len(self.words)
 
 
@@ -92,53 +103,120 @@ def _exp_e0(coefficient: complex, level: int) -> TruncatedSeries:
     return TruncatedSeries(level, series_exp({"0": coefficient}, level))
 
 
-# --- transport route -----------------------------------------------------------
+@lru_cache(maxsize=None)
+def _concat_table(level: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gather indices of the concatenation product.
 
-def _transport_segment(seg, level: int, cfg: QuadratureConfig) -> np.ndarray:
-    idx = _word_index(level)
-    parent, last = idx.parent, idx.last
-
-    def rhs(t, y):
-        z = seg.point(t)
-        dz = seg.deriv(t)
-        f = (dz / z, dz / (1 - z))
-        out = np.empty_like(y)
-        out[0] = 0
-        src = y[parent[1:]]
-        fvals = np.where(last[1:] == 0, f[0], f[1])
-        out[1:] = src * fvals
-        return out
-
-    y0 = np.zeros(idx.dim, dtype=complex)
-    y0[0] = 1.0
-    rtol = max(3e-14, min(1e-12, cfg.abs_tol * 1e-2))
-    atol = max(1e-15, cfg.abs_tol * 1e-3)
-    sol = solve_ivp(rhs, (0.0, 1.0), y0, method="DOP853", rtol=rtol, atol=atol)
-    if not sol.success:
-        raise ConvergenceError(f"transport failed: {sol.message}")
-    return sol.y[:, -1]
+    Row w holds, for each split w = u·v (u of length 0..|w|), the indices
+    of u and of v; rows of short words are padded with ``dim``, which
+    points at an appended zero.
+    """
+    dim = 2 ** (level + 1) - 1
+    left = np.full((dim, level + 1), dim)
+    right = np.full((dim, level + 1), dim)
+    for k in range(level + 1):
+        b = np.arange(2 ** k)
+        rows = 2 ** k - 1 + b
+        for j in range(k + 1):
+            left[rows, j] = 2 ** j - 1 + (b >> (k - j))
+            right[rows, j] = 2 ** (k - j) - 1 + (b & (2 ** (k - j) - 1))
+    return left, right
 
 
 def _concat_arrays(a: np.ndarray, b: np.ndarray, level: int) -> np.ndarray:
-    idx = _word_index(level)
-    out = np.zeros(idx.dim, dtype=complex)
-    for i, u in enumerate(idx.words):
-        if a[i] == 0:
-            continue
-        for j, v in enumerate(idx.words):
-            if len(u) + len(v) > level or b[j] == 0:
-                continue
-            out[idx.index[u + v]] += a[i] * b[j]
+    """Concatenation product of two word-indexed arrays, truncated at the level."""
+    left, right = _concat_table(level)
+    return (np.append(a, 0)[left] * np.append(b, 0)[right]).sum(axis=1)
+
+
+# --- transport route: adaptive spectral panels --------------------------------------
+
+_CC_NODES = 41      # Chebyshev-Lobatto nodes per panel (degree 40)
+_PANEL_TOL = 1e-3   # tail allowed per panel, as a fraction of abs_tol
+_NOISE = 64 * np.finfo(float).eps   # tail that rounding alone leaves, relative to the forcing
+
+
+@lru_cache(maxsize=None)
+def _cc_tables(n: int = _CC_NODES):
+    """One panel on [-1, 1]: 1 + x and 1 - x at the nodes, both without
+    cancellation; the transposed Clenshaw-Curtis integration matrix
+    (values -> antiderivative values, zero at -1); and the transposed map
+    from values to the last two Chebyshev coefficients."""
+    half = np.arange(n) * np.pi / (2 * (n - 1))
+    x = -np.cos(2 * half)
+    to_coef = np.linalg.inv(chebyshev.chebvander(x, n - 1))
+    integ = np.stack([chebyshev.chebint(unit, lbnd=-1) for unit in np.eye(n)], axis=1)
+    intmat = chebyshev.chebvander(x, n) @ integ @ to_coef
+    intmat[0] = 0.0
+    return (2 * np.sin(half) ** 2, 2 * np.cos(half) ** 2,
+            intmat.T.astype(complex), to_coef[-2:].T.astype(complex))
+
+
+def _panel(seg, ends: tuple, y: np.ndarray, level: int, tol: float):
+    """State after a panel of the segment, or None if it must be split.
+
+    ``ends`` are the panel's ends as t and as 1 - t: (ta, tb, ua, ub).
+
+    Level k is y_k plus the antiderivative of level k-1 times the form of
+    each word's last letter.  The panel is rejected as soon as some word's
+    Chebyshev tail exceeds both tol·max(1, |coefficient|) and the rounding
+    noise of its forcing.
+    """
+    xp, xm, int_t, tail_t = _cc_tables()
+    ta, tb, ua, ub = ends
+    s = (tb - ta) / 2 if tb <= 0.5 else (ua - ub) / 2
+    f0, f1 = seg.forms(ta + xp * s, ub + xm * s)
+    forcing = np.stack((f0 * s, f1 * s))
+    if not np.isfinite(forcing).all():
+        raise ConvergenceError("transport forms are not finite on a panel")
+    out = y.copy()
+    vals = np.full((1, len(xp)), y[0])
+    for k in range(1, level + 1):
+        lo, hi = 2 ** k - 1, 2 ** (k + 1) - 1
+        h = (vals[:, None, :] * forcing).reshape(hi - lo, -1)
+        vals = y[lo:hi, None] + h @ int_t
+        end = vals[:, -1]
+        tail = np.abs(h @ tail_t).sum(axis=1)
+        bound = np.maximum(tol * np.maximum(1.0, np.abs(end)), _NOISE * np.abs(h).max(axis=1))
+        if not (tail <= bound).all():
+            return None
+        out[lo:hi] = end
     return out
 
 
 def transport(path: Path, level: int, cfg: QuadratureConfig = DEFAULT_CONFIG) -> np.ndarray:
-    """Signature coefficients of an interior path, as a word-indexed array."""
-    acc = None
-    for seg in path.segments:
-        part = _transport_segment(seg, level, cfg)
-        acc = part if acc is None else _concat_arrays(acc, part, level)
-    return acc
+    """Signature coefficients of an interior path, as a word-indexed array.
+
+    One state is carried through every panel of every segment.  Each
+    segment starts as one panel and rejected panels are bisected, left
+    half first; past cfg.max_panels panel evaluations ConvergenceError
+    is raised.
+    """
+    y = np.zeros(2 ** (level + 1) - 1, dtype=complex)
+    y[0] = 1.0
+    if level == 0:
+        return y
+    tol = cfg.abs_tol * _PANEL_TOL
+    budget = cfg.max_panels
+    with np.errstate(over="ignore", invalid="ignore"):   # _panel raises on non-finite forms
+        for seg in path.segments:
+            # panel ends as t and as 1 - t, each exact in its own half, so
+            # that panels can shrink toward t = 1 as far as toward t = 0
+            todo = [(0.0, 1.0, 1.0, 0.0)]
+            while todo:
+                ends = todo.pop()
+                budget -= 1
+                if budget < 0:
+                    raise ConvergenceError(
+                        f"transport did not reach {cfg.abs_tol:g} within {cfg.max_panels} panels")
+                nxt = _panel(seg, ends, y, level, tol)
+                if nxt is None:
+                    ta, tb, ua, ub = ends
+                    tm, um = (ta + tb) / 2, (ua + ub) / 2
+                    todo += [(tm, tb, um, ub), (ta, tm, ua, um)]
+                else:
+                    y = nxt
+    return y
 
 
 def signature(path, r: int, cfg: QuadratureConfig = DEFAULT_CONFIG) -> TruncatedSeries:
@@ -259,9 +337,10 @@ def regularized_signature(x, r: int = 2, cfg: QuadratureConfig = DEFAULT_CONFIG,
                           loop_prefix: str = "") -> TruncatedSeries:
     """Level-r signature from the tangential base point (0, tangent +1) to x.
 
-    The path is the standard reach (junction circle, then radial, with a
-    detour above 1 when needed), optionally preceded by a loop word in
-    the generators ("0 1^-1" style).  The divergence at the base point
+    The path is the standard reach (junction circle, then radial, around
+    1 on the target's side when the ray comes close), optionally preceded
+    by a loop word in the generators ("0 1^-1" style), and transported in
+    one pass.  The divergence at the base point
     is removed by left multiplication with exp(log(eps)·e0) and ladder
     extrapolation; with tangent vector +1 no further constant enters, so
     the "0"-coefficient is the branch of log(x) continued along the path
@@ -270,10 +349,11 @@ def regularized_signature(x, r: int = 2, cfg: QuadratureConfig = DEFAULT_CONFIG,
     x = complex(x)
     if x in (0, 1):
         raise DomainError("x must avoid the punctures")
-    tail = transport(canonical_reach(x), r, cfg)
+    path = canonical_reach(x)
     loop = loop_from_group_word(loop_prefix) if loop_prefix else None
     if loop is not None:
-        tail = _concat_arrays(transport(loop, r, cfg), tail, r)
+        path = loop.concat(path)
+    tail = transport(path, r, cfg)
     values = []
     for eps in cfg.regularization_epsilons:
         approach = transport(Path((LogSegment(eps, JUNCTION_RADIUS),)), r, cfg)

@@ -20,11 +20,6 @@ from .words import Word, check_word, shuffle_words, word_basis
 
 DEFAULT_MAX_LEVEL = 6  # tensor dimension 127; exact arithmetic stays quick
 
-# The Hodge filtration on the two-step Lie algebra of this build has no
-# degree-0 part, so the subgroup exp(F^0) is trivial and Albanese classes
-# are plain group classes; exposed as a constant rather than computed.
-F0_SUBGROUP_IS_TRIVIAL = True
-
 
 @dataclass(frozen=True)
 class ExactSeries:

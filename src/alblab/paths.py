@@ -7,6 +7,12 @@ punctures 0 or 1; everything in between must stay away from both
 punctures.  Named loops "gamma0"/"gamma1" are the standard interior
 representatives of the two generating loops, based on the positive real
 axis at the junction radius.
+
+Besides ``point``/``deriv`` (one parameter at a time, for the direct
+quadrature), every segment supplies its two forms ``dz/z`` and
+``dz/(1-z)`` at an array of parameters for the transport engine.  Those
+take ``z`` and ``1 - z`` from the nearer end of the segment, so that they
+keep full relative precision next to a puncture.
 """
 
 from __future__ import annotations
@@ -14,7 +20,10 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
+
+import numpy as np
 
 PUNCTURES = (0.0 + 0j, 1.0 + 0j)
 JUNCTION_RADIUS = 0.125   # base point of interior loops, on the positive real axis
@@ -24,6 +33,29 @@ _CHAIN_TOL = 1e-12
 
 class DomainError(ValueError):
     """Invalid geometric or algebraic input (maps to CLI exit code 1)."""
+
+
+def _log_ratio(num: complex, den: complex) -> complex:
+    """Principal log(num/den), accurate also when num is close to den."""
+    w = (num - den) / den
+    if abs(w) > 0.5:
+        return cmath.log(num / den)
+    # log1p(w), which numpy does not evaluate accurately for complex w
+    return complex(0.5 * math.log1p(w.real * (2 + w.real) + w.imag ** 2),
+                   math.atan2(w.imag, 1 + w.real))
+
+
+def _spiral(z0: complex, z1: complex, c: complex, rate: complex, t, u):
+    """z, 1 - z and z - c on z(t) = c + (z0 - c) exp(rate t), which ends at z1.
+
+    Each value is taken from the nearer endpoint with expm1, so it keeps
+    its relative precision wherever it is small next to that endpoint.
+    """
+    near0 = t <= 0.5
+    ze = np.where(near0, z0, z1)
+    we = np.where(near0, z0 - c, z1 - c)
+    step = we * np.expm1(rate * np.where(near0, t, -u))
+    return ze + step, np.where(near0, 1 - z0, 1 - z1) - step, we + step
 
 
 @dataclass(frozen=True)
@@ -40,13 +72,35 @@ class LineSegment:
     def reversed(self) -> "LineSegment":
         return LineSegment(self.z1, self.z0)
 
+    @property
+    def start(self) -> complex:
+        return self.z0
+
+    @property
+    def end(self) -> complex:
+        return self.z1
+
+    @property
+    def length(self) -> float:
+        return abs(self.z1 - self.z0)
+
     def min_distance(self, p: complex) -> float:
         d = self.z1 - self.z0
-        if d == 0:
+        t = ((p - self.z0) / d).real if d != 0 else 0.0
+        if t <= 0:
             return abs(self.z0 - p)
-        t = ((p - self.z0) / d).real
-        t = min(1.0, max(0.0, t))
+        if t >= 1:
+            return abs(self.z1 - p)
         return abs(self.z0 + d * t - p)
+
+    def forms(self, t: np.ndarray, u: np.ndarray):
+        """(dz/z, dz/(1-z)) at the parameters t, with u = 1 - t."""
+        d = self.z1 - self.z0
+        near0 = t <= 0.5
+        step = d * np.where(near0, t, -u)          # z minus the nearer endpoint
+        z = np.where(near0, self.z0, self.z1) + step
+        omz = np.where(near0, 1 - self.z0, 1 - self.z1) - step
+        return d / z, d / omz
 
 
 @dataclass(frozen=True)
@@ -67,6 +121,18 @@ class CircularArc:
     def reversed(self) -> "CircularArc":
         return CircularArc(self.center, self.radius, self.theta1, self.theta0)
 
+    @property
+    def start(self) -> complex:
+        return self.point(0.0)
+
+    @property
+    def end(self) -> complex:
+        return self.point(1.0)
+
+    @property
+    def length(self) -> float:
+        return self.radius * abs(self.theta1 - self.theta0)
+
     def min_distance(self, p: complex) -> float:
         rho = abs(p - self.center)
         lo, hi = min(self.theta0, self.theta1), max(self.theta0, self.theta1)
@@ -74,9 +140,26 @@ class CircularArc:
             return abs(rho - self.radius)
         phi = cmath.phase(p - self.center) if rho > 0 else 0.0
         for k in range(math.floor((lo - phi) / (2 * math.pi)), math.ceil((hi - phi) / (2 * math.pi)) + 1):
-            if lo <= phi + 2 * math.pi * k <= hi:
+            if lo < phi + 2 * math.pi * k < hi:
                 return abs(rho - self.radius)
-        return min(abs(self.point(0.0) - p), abs(self.point(1.0) - p))
+        return min(abs(self.start - p), abs(self.end - p))
+
+    @cached_property
+    def _rate(self) -> complex:
+        # the arc as z = c + (z0 - c) exp(rate t) through its two float endpoints,
+        # so that neighbours which end exactly there join it without a gap
+        rate = _log_ratio(self.end - self.center, self.start - self.center)
+        turns = round((self.theta1 - self.theta0 - rate.imag) / (2 * math.pi))
+        return rate + 2j * math.pi * turns
+
+    def forms(self, t: np.ndarray, u: np.ndarray):
+        """(dz/z, dz/(1-z)) at the parameters t, with u = 1 - t."""
+        c, rate = self.center, self._rate
+        z, omz, w = _spiral(self.start, self.end, c, rate, t, u)
+        dz = rate * w
+        f0 = np.full(t.shape, rate) if c == 0 else dz / z
+        f1 = np.full(t.shape, -rate) if c == 1 else dz / omz
+        return f0, f1
 
 
 @dataclass(frozen=True)
@@ -95,25 +178,62 @@ class LogSegment:
         if self.z0 == 0 or self.z1 == 0:
             raise DomainError("log segment endpoint at 0")
 
+    @cached_property
     def _rate(self) -> complex:
-        return cmath.log(self.z1 / self.z0)
+        return _log_ratio(self.z1, self.z0)
 
     def point(self, t: float) -> complex:
-        return self.z0 * cmath.exp(self._rate() * t)
+        return self.z0 * cmath.exp(self._rate * t)
 
     def deriv(self, t: float) -> complex:
-        return self.point(t) * self._rate()
+        return self.point(t) * self._rate
 
     def reversed(self) -> "LogSegment":
         return LogSegment(self.z1, self.z0)
 
+    @property
+    def start(self) -> complex:
+        return self.z0
+
+    @property
+    def end(self) -> complex:
+        return self.z1
+
+    @property
+    def length(self) -> float:
+        return abs(self._rate) * max(abs(self.z0), abs(self.z1))
+
     def min_distance(self, p: complex) -> float:
-        return min(abs(self.point(k / 64) - p) for k in range(65))
+        ends = min(abs(self.z0 - p), abs(self.z1 - p))
+        rate = self._rate
+        if abs(rate.imag) <= 1e-14 * max(1.0, abs(rate.real)):
+            # radial: |z| is monotone along the ray, so project p onto it
+            e = self.z0 / abs(self.z0)
+            s = (p * e.conjugate()).real
+            lo, hi = sorted((abs(self.z0), abs(self.z1)))
+            return abs((p * e.conjugate()).imag) if lo < s < hi else ends
+        # a spiral of less than half a turn: sample, then refine the best bracket
+        ts = np.linspace(0.0, 1.0, 65)
+        k = int(np.argmin(np.abs(self.z0 * np.exp(rate * ts) - p)))
+        lo, hi = ts[max(k - 1, 0)], ts[min(k + 1, 64)]
+        for _ in range(60):
+            m1, m2 = lo + (hi - lo) / 3, hi - (hi - lo) / 3
+            if abs(self.point(m1) - p) <= abs(self.point(m2) - p):
+                hi = m2
+            else:
+                lo = m1
+        return min(ends, abs(self.point((lo + hi) / 2) - p))
+
+    def forms(self, t: np.ndarray, u: np.ndarray):
+        """(dz/z, dz/(1-z)) at the parameters t, with u = 1 - t; dz/z is the constant rate."""
+        rate = self._rate
+        z, omz, _ = _spiral(self.z0, self.z1, 0.0, rate, t, u)
+        return np.full(t.shape, rate), rate * z / omz
 
 
 @dataclass(frozen=True)
 class ReparametrizedSegment:
-    """Segment composed with an increasing smooth warp of [0, 1]."""
+    """Segment composed with an increasing smooth warp of [0, 1] (vectorized)."""
 
     base: object
     warp: Callable[[float], float]
@@ -128,8 +248,27 @@ class ReparametrizedSegment:
     def reversed(self):
         raise DomainError("reversal of reparametrized segments is not supported")
 
+    @property
+    def start(self) -> complex:
+        return self.base.start
+
+    @property
+    def end(self) -> complex:
+        return self.base.end
+
+    @property
+    def length(self) -> float:
+        return self.base.length
+
     def min_distance(self, p: complex) -> float:
         return self.base.min_distance(p)
+
+    def forms(self, t: np.ndarray, u: np.ndarray):
+        """The base forms pulled back along the warp (which must accept arrays)."""
+        w = self.warp(t)
+        dw = self.warp_deriv(t)
+        f0, f1 = self.base.forms(w, 1 - w)
+        return f0 * dw, f1 * dw
 
 
 @dataclass(frozen=True)
@@ -154,33 +293,38 @@ class Path:
         if not self.segments:
             raise DomainError("path needs at least one segment")
         for a, b in zip(self.segments, self.segments[1:]):
-            if abs(a.point(1.0) - b.point(0.0)) > _CHAIN_TOL:
+            if abs(a.end - b.start) > _CHAIN_TOL:
                 raise DomainError("path segments are disconnected")
         for seg in self.segments:
             for p in PUNCTURES:
+                # an endpoint may lie arbitrarily close to a puncture, since the
+                # forms are taken from the nearer end; the interior must keep a
+                # clearance relative to the segment's length
                 d = seg.min_distance(p)
-                if d < _CHAIN_TOL and not self._endpoint_excused(seg, p):
+                ends = min(abs(seg.start - p), abs(seg.end - p))
+                grazes = d < ends and d < _CHAIN_TOL * seg.length
+                if grazes or (d == 0 and not self._endpoint_excused(seg, p)):
                     raise DomainError(f"segment passes through the puncture {p.real:g}")
 
     def _endpoint_excused(self, seg, p) -> bool:
         # endpoints may touch a puncture only with a tangential anchor there
         if (seg is self.segments[0] and self.start_anchor is not None
                 and p == complex(self.start_anchor.puncture)
-                and abs(seg.point(0.0) - p) <= _CHAIN_TOL):
+                and abs(seg.start - p) <= _CHAIN_TOL):
             return True
         if (seg is self.segments[-1] and self.end_anchor is not None
                 and p == complex(self.end_anchor.puncture)
-                and abs(seg.point(1.0) - p) <= _CHAIN_TOL):
+                and abs(seg.end - p) <= _CHAIN_TOL):
             return True
         return False
 
     @property
     def start(self) -> complex:
-        return self.segments[0].point(0.0)
+        return self.segments[0].start
 
     @property
     def end(self) -> complex:
-        return self.segments[-1].point(1.0)
+        return self.segments[-1].end
 
     @property
     def is_interior(self) -> bool:
@@ -201,11 +345,11 @@ class Path:
         """Smooth orientation-preserving warp of every segment (for invariance tests)."""
 
         def warp(t: float) -> float:
-            return t + amount * math.sin(math.pi * t) * t * (1 - t)
+            return t + amount * np.sin(np.pi * t) * t * (1 - t)
 
         def warp_deriv(t: float) -> float:
-            return 1 + amount * (math.pi * math.cos(math.pi * t) * t * (1 - t)
-                                 + math.sin(math.pi * t) * (1 - 2 * t))
+            return 1 + amount * (np.pi * np.cos(np.pi * t) * t * (1 - t)
+                                 + np.sin(np.pi * t) * (1 - 2 * t))
 
         segs = tuple(ReparametrizedSegment(s, warp, warp_deriv) for s in self.segments)
         return Path(segs, self.start_anchor, self.end_anchor)
@@ -314,10 +458,15 @@ def canonical_reach(x: complex, junction: float = JUNCTION_RADIUS,
     """Deterministic interior path from the junction point to x.
 
     Rotate along the junction circle to the principal argument of x,
-    then move radially; a real target beyond 1 is reached by passing
-    above 1 on a small semicircle.  The choice fixes one homotopy class
-    per target, which loop prefixes then act on.
+    then move radially.  A ray that passes within rho = min(detour,
+    |x - 1|/2) of 1 goes around 1 on an arc of radius rho, on the side of
+    the target (above 1 for real targets beyond 1), which keeps its
+    homotopy class and keeps every segment rho away from 1.  The choice
+    fixes one homotopy class per target, which loop prefixes then act on.
     """
+    x = complex(x)
+    if not cmath.isfinite(x):
+        raise DomainError("target must be finite")
     if x == 0 or x == 1:
         raise DomainError("target is a puncture")
     theta = cmath.phase(x)
@@ -325,15 +474,21 @@ def canonical_reach(x: complex, junction: float = JUNCTION_RADIUS,
     if abs(theta) > 1e-15:
         segs.append(CircularArc(0.0, junction, 0.0, theta))
     ray_start = junction * cmath.exp(1j * theta)
-    if abs(theta) < 1e-15 and x.real > 1:
-        rho = min(detour, (x.real - 1) / 2, (1 - junction) / 2)
-        segs.append(LogSegment(ray_start, 1 - rho))
-        segs.append(CircularArc(1.0, rho, math.pi, 0.0))  # pass above 1
-        if abs(x - (1 + rho)) > _CHAIN_TOL:
-            segs.append(LineSegment(1 + rho, x))
-    elif abs(x - ray_start) > _CHAIN_TOL:
-        if abs(theta) < 1e-15 and abs(x.real - 1) < 1e-9:
-            raise DomainError("target too close to the puncture 1")
+    rho = min(detour, abs(x - 1) / 2)
+    if math.cos(theta) > 0 and abs(math.sin(theta)) < rho and abs(x) > math.cos(theta):
+        # the ray meets the circle |z - 1| = rho at radii cos(theta) -+ h
+        h = math.sqrt(rho * rho - math.sin(theta) ** 2)
+        side = 1.0 if theta >= 0 else -1.0
+
+        def angle(s: float) -> float:
+            w = s * cmath.exp(1j * theta) - 1
+            return side * math.atan2(abs(w.imag), w.real)
+
+        arc = CircularArc(1.0, rho, angle(math.cos(theta) - h), angle(math.cos(theta) + h))
+        # the rays join the arc at its own float endpoints, without a gap
+        segs += [LogSegment(ray_start, arc.start), arc]
+        ray_start = arc.end
+    if x != ray_start:
         segs.append(LogSegment(ray_start, x))
     if not segs:
         segs.append(LineSegment(ray_start, ray_start))  # constant path

@@ -22,6 +22,18 @@ def li2_series(x: complex, terms: int = 300) -> complex:
     return sum(x ** n / n ** 2 for n in range(1, terms))
 
 
+def li2(x: complex) -> complex:
+    """Principal Li_2 by its series, through the inversion formula for |x| >= 2
+    and the reflection formula for |1 - x| <= 1/2."""
+    if abs(x) <= 0.5:
+        return li2_series(x, 80)
+    if abs(x) >= 2:
+        return -math.pi ** 2 / 6 - cmath.log(-x) ** 2 / 2 - li2_series(1 / x, 80)
+    if abs(1 - x) <= 0.5:
+        return math.pi ** 2 / 6 - cmath.log(x) * cmath.log(1 - x) - li2_series(1 - x, 80)
+    raise ValueError("the series oracle covers |x| <= 1/2, |x| >= 2 and |1 - x| <= 1/2")
+
+
 class TestAlbanesePoint:
     def test_half_values(self, cfg):
         p = albanese_point(0.5, cfg=cfg)
@@ -55,6 +67,15 @@ class TestAlbanesePoint:
     def test_puncture_rejected(self, cfg):
         with pytest.raises(DomainError):
             albanese_point(0.0, cfg=cfg)
+
+    @pytest.mark.parametrize("x", (1e-12, 2 + 1e-8j, 2 - 1e-8j, 1 + 1e-20j, 1 - 1e-20j), ids=str)
+    def test_closed_forms_next_to_puncture_and_cut(self, cfg, x):
+        # 1e-12 hugs the puncture 0, 2 +- 1e-8 i lie next to the cut beyond 1,
+        # and 1 +- 1e-20 i sit closer to 1 than a float near 1 can resolve
+        expected = (cmath.log(x) / TWO_PI_I, -cmath.log(1 - x) / TWO_PI_I,
+                    li2(x) / TWO_PI_I ** 2)
+        p = albanese_point(x, cfg=cfg)
+        assert max(abs(a - b) for a, b in zip(p.raw, expected)) < cfg.abs_tol
 
     def test_junction_point_target(self, cfg):
         # the standard path degenerates to a constant tail there

@@ -2,9 +2,12 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
+import alblab
 from alblab.cli import (COMMAND_TABLE, EXIT_BADJSON, EXIT_DOMAIN, EXIT_NUMERIC,
                         EXIT_OK, EXIT_USAGE, run_command)
 
@@ -63,6 +66,13 @@ class TestExitCodes:
                                  "--path", '{"waypoints":[[0.5,0.001],[0.999,0.001],[0.5,0.5]]}',
                                  "--abs-tol", "1e-16"])
         assert code == EXIT_NUMERIC
+
+    def test_panel_cap_exit_code(self, capsys):
+        # a hundred thousand turns cannot be resolved within the panel cap
+        code, out = run(capsys, ["ii", "signature", "--level", "2",
+                                 "--path", '{"loop":"gamma0","turns":100000}'])
+        assert code == EXIT_NUMERIC
+        assert "panels" in out["error"]
 
     def test_missing_flag(self, capsys):
         code, _ = run(capsys, ["ii", "eval", "--word", "0"])
@@ -252,6 +262,16 @@ class TestEnvironment:
         code, out = run(capsys, ["ii", "eval", "--word", "0",
                                  "--path", '{"waypoints":[[0.25,0],[0.5,0]]}'])
         assert code == EXIT_OK
+
+    def test_import_leaves_scipy_out(self):
+        src = str(Path(alblab.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run(
+            [sys.executable, "-c", "import alblab.cli, sys; print('scipy' in sys.modules)"],
+            capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
     def test_console_script(self):
         proc = subprocess.run([sys.executable, "-m", "alblab.cli"],

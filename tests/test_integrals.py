@@ -7,12 +7,14 @@ import numpy as np
 import pytest
 
 from alblab.integrals import (ConvergenceError, QuadratureConfig,
-                              TWO_PI_I, compose_signatures, iterated_integral,
+                              TWO_PI_I, _concat_arrays, array_to_series,
+                              compose_signatures, iterated_integral,
                               monodromy_matrix, regularized_loop_transport,
-                              regularized_signature, signature,
+                              regularized_signature, series_to_array, signature,
                               tangential_iterated_integral)
-from alblab.paths import (DomainError, LineSegment, Path, loop_gamma0, make_path)
-from alblab.series import TruncatedSeries, exp_letter, shuffle_defect
+from alblab.paths import (DomainError, LineSegment, LogSegment, Path, loop_gamma0,
+                          make_path)
+from alblab.series import TruncatedSeries, concat_mul, exp_letter, shuffle_defect
 from alblab.words import shuffle_words, word_basis
 
 LI2_HALF = math.pi ** 2 / 12 - math.log(2) ** 2 / 2
@@ -174,6 +176,51 @@ class TestSignature:
             sig = signature(make_path({"loop": "gamma1", "turns": turns}), 1, cfg)
             assert abs(sig.coefficient("0")) < 1e-9
             assert abs(sig.coefficient("1") + turns * TWO_PI_I) < 1e-9
+
+
+class TestSpectralTransport:
+    def test_gamma0_three_turns_one_letter(self, cfg):
+        # only e0 winds: S(0^k) = (6 pi i)^k / k!, with coefficients up to 4e5
+        sig = signature(make_path({"loop": "gamma0", "turns": 3}), 8, cfg)
+        for k in range(1, 9):
+            exact = (3 * TWO_PI_I) ** k / math.factorial(k)
+            assert abs(sig.coefficient("0" * k) - exact) < 1e-12 * abs(exact)
+
+    def test_large_coefficients_meet_non_polynomial_forms(self, cfg):
+        # after three turns about 0 the state holds coefficients up to 1e6 and
+        # gamma1's forms are not polynomial; a stop rule scaled to them ends
+        # in a few dozen panels, where an absolute one needs thousands
+        g0, g1 = {"loop": "gamma0", "turns": 3}, {"loop": "gamma1", "turns": 1}
+        whole = signature({"compose": [g0, g1]}, 8, QuadratureConfig(max_panels=200))
+        glued = compose_signatures(signature(g0, 8, cfg), signature(g1, 8, cfg))
+        for w, c in glued.coeffs.items():
+            assert abs(whole.coefficient(w) - c) < 1e-11 * max(1.0, abs(c))
+
+    @pytest.mark.parametrize("segment", (LineSegment, LogSegment))
+    def test_endpoint_next_to_puncture(self, cfg, segment):
+        # 1 - z is taken from the nearer end, so -log(1-x) keeps its digits
+        x = 1 - 1e-9
+        sig = signature(Path((segment(0.5, x),)), 2, cfg)
+        expected = math.log(0.5) - math.log(1 - x)
+        assert abs(sig.coefficient("1") - expected) < 1e-13 * abs(expected)
+        assert abs(sig.coefficient("11") - expected ** 2 / 2) < 1e-12 * expected ** 2
+
+    def test_panel_cap_raises(self):
+        cfg = QuadratureConfig(max_panels=4)
+        with pytest.raises(ConvergenceError):
+            signature(make_path({"loop": "gamma0", "turns": 3}), 8, cfg)
+
+    def test_max_panels_positive(self):
+        with pytest.raises(DomainError):
+            QuadratureConfig(max_panels=0)
+
+    def test_concat_arrays_matches_concat_mul(self, rng):
+        r, dim = 6, 127
+        a = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        b = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        slow = concat_mul(array_to_series(r, a).coeffs, array_to_series(r, b).coeffs, r)
+        fast = _concat_arrays(a, b, r)
+        assert np.max(np.abs(fast - series_to_array(TruncatedSeries(r, slow)))) < 1e-12
 
 
 class TestCompose:
