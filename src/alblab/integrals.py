@@ -49,8 +49,6 @@ class ConvergenceError(RuntimeError):
 class QuadratureConfig:
     abs_tol: float = 1e-10
     max_subdivisions: int = 10
-    # panel evaluations one transport may spend before it gives up
-    max_panels: int = 4096
     # geometric ladder; the tail rungs drive the extrapolated limit
     regularization_epsilons: tuple = (1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8)
 
@@ -59,8 +57,6 @@ class QuadratureConfig:
             raise DomainError("abs_tol must be positive")
         if self.max_subdivisions < 1:
             raise DomainError("max_subdivisions must be positive")
-        if self.max_panels < 1:
-            raise DomainError("max_panels must be positive")
         eps = self.regularization_epsilons
         if not eps or any(e <= 0 for e in eps) or any(a <= b for a, b in zip(eps, eps[1:])):
             raise DomainError("regularization epsilons must decrease strictly toward 0")
@@ -133,6 +129,7 @@ def _concat_arrays(a: np.ndarray, b: np.ndarray, level: int) -> np.ndarray:
 
 _CC_NODES = 41      # Chebyshev-Lobatto nodes per panel (degree 40)
 _PANEL_TOL = 1e-3   # tail allowed per panel, as a fraction of abs_tol
+_MAX_PANELS = 4096  # panel evaluations one transport may spend before it gives up
 _NOISE = 64 * np.finfo(float).eps   # tail that rounding alone leaves, relative to the forcing
 
 
@@ -189,15 +186,15 @@ def transport(path: Path, level: int, cfg: QuadratureConfig = DEFAULT_CONFIG) ->
 
     One state is carried through every panel of every segment.  Each
     segment starts as one panel and rejected panels are bisected, left
-    half first; past cfg.max_panels panel evaluations ConvergenceError
-    is raised.
+    half first; past _MAX_PANELS panel evaluations ConvergenceError is
+    raised.
     """
     y = np.zeros(2 ** (level + 1) - 1, dtype=complex)
     y[0] = 1.0
     if level == 0:
         return y
     tol = cfg.abs_tol * _PANEL_TOL
-    budget = cfg.max_panels
+    budget = _MAX_PANELS
     with np.errstate(over="ignore", invalid="ignore"):   # _panel raises on non-finite forms
         for seg in path.segments:
             # panel ends as t and as 1 - t, each exact in its own half, so
@@ -208,7 +205,7 @@ def transport(path: Path, level: int, cfg: QuadratureConfig = DEFAULT_CONFIG) ->
                 budget -= 1
                 if budget < 0:
                     raise ConvergenceError(
-                        f"transport did not reach {cfg.abs_tol:g} within {cfg.max_panels} panels")
+                        f"transport did not reach {cfg.abs_tol:g} within {_MAX_PANELS} panels")
                 nxt = _panel(seg, ends, y, level, tol)
                 if nxt is None:
                     ta, tb, ua, ub = ends

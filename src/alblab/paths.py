@@ -39,7 +39,12 @@ def _log_ratio(num: complex, den: complex) -> complex:
     """Principal log(num/den), accurate also when num is close to den."""
     w = (num - den) / den
     if abs(w) > 0.5:
-        return cmath.log(num / den)
+        q = num / den
+        if q != 0 and cmath.isfinite(q):
+            return cmath.log(q)
+        # the ratio overflows or underflows: subtract the logs, principal branch
+        d = cmath.log(num) - cmath.log(den)
+        return complex(d.real, math.remainder(d.imag, 2 * math.pi))
     # log1p(w), which numpy does not evaluate accurately for complex w
     return complex(0.5 * math.log1p(w.real * (2 + w.real) + w.imag ** 2),
                    math.atan2(w.imag, 1 + w.real))
@@ -50,12 +55,19 @@ def _spiral(z0: complex, z1: complex, c: complex, rate: complex, t, u):
 
     Each value is taken from the nearer endpoint with expm1, so it keeps
     its relative precision wherever it is small next to that endpoint.
+    Where exp(rate t) is more than a factor e from 1 the point is far from
+    that endpoint, and z - c is taken as a product, since adding expm1
+    there could cancel to nothing (z = z1 exp(-700) on a long log segment).
     """
     near0 = t <= 0.5
     ze = np.where(near0, z0, z1)
     we = np.where(near0, z0 - c, z1 - c)
-    step = we * np.expm1(rate * np.where(near0, t, -u))
-    return ze + step, np.where(near0, 1 - z0, 1 - z1) - step, we + step
+    arg = rate * np.where(near0, t, -u)
+    far = np.abs(arg) > 1
+    step = we * np.expm1(arg)
+    w = np.where(far, we * np.exp(arg), we + step)
+    return (np.where(far, c + w, ze + step),
+            np.where(far, (1 - c) - w, (1 - ze) - step), w)
 
 
 @dataclass(frozen=True)
@@ -80,8 +92,8 @@ class LineSegment:
     def end(self) -> complex:
         return self.z1
 
-    @property
-    def length(self) -> float:
+    def speed_near(self, p: complex) -> float:
+        """|dz/dt| where the segment passes p."""
         return abs(self.z1 - self.z0)
 
     def min_distance(self, p: complex) -> float:
@@ -129,8 +141,8 @@ class CircularArc:
     def end(self) -> complex:
         return self.point(1.0)
 
-    @property
-    def length(self) -> float:
+    def speed_near(self, p: complex) -> float:
+        """|dz/dt| where the segment passes p."""
         return self.radius * abs(self.theta1 - self.theta0)
 
     def min_distance(self, p: complex) -> float:
@@ -199,9 +211,9 @@ class LogSegment:
     def end(self) -> complex:
         return self.z1
 
-    @property
-    def length(self) -> float:
-        return abs(self._rate) * max(abs(self.z0), abs(self.z1))
+    def speed_near(self, p: complex) -> float:
+        """|dz/dt| where the segment passes p: |rate| |z|, with z about p."""
+        return abs(self._rate) * abs(p)
 
     def min_distance(self, p: complex) -> float:
         ends = min(abs(self.z0 - p), abs(self.z1 - p))
@@ -228,7 +240,7 @@ class LogSegment:
         """(dz/z, dz/(1-z)) at the parameters t, with u = 1 - t; dz/z is the constant rate."""
         rate = self._rate
         z, omz, _ = _spiral(self.z0, self.z1, 0.0, rate, t, u)
-        return np.full(t.shape, rate), rate * z / omz
+        return np.full(t.shape, rate), rate * (z / omz)
 
 
 @dataclass(frozen=True)
@@ -256,9 +268,8 @@ class ReparametrizedSegment:
     def end(self) -> complex:
         return self.base.end
 
-    @property
-    def length(self) -> float:
-        return self.base.length
+    def speed_near(self, p: complex) -> float:
+        return self.base.speed_near(p)
 
     def min_distance(self, p: complex) -> float:
         return self.base.min_distance(p)
@@ -299,10 +310,10 @@ class Path:
             for p in PUNCTURES:
                 # an endpoint may lie arbitrarily close to a puncture, since the
                 # forms are taken from the nearer end; the interior must keep a
-                # clearance relative to the segment's length
+                # clearance relative to the segment's speed where it passes p
                 d = seg.min_distance(p)
                 ends = min(abs(seg.start - p), abs(seg.end - p))
-                grazes = d < ends and d < _CHAIN_TOL * seg.length
+                grazes = d < ends and d < _CHAIN_TOL * seg.speed_near(p)
                 if grazes or (d == 0 and not self._endpoint_excused(seg, p)):
                     raise DomainError(f"segment passes through the puncture {p.real:g}")
 
@@ -465,8 +476,8 @@ def canonical_reach(x: complex, junction: float = JUNCTION_RADIUS,
     fixes one homotopy class per target, which loop prefixes then act on.
     """
     x = complex(x)
-    if not cmath.isfinite(x):
-        raise DomainError("target must be finite")
+    if not math.isfinite(math.hypot(x.real, x.imag)):
+        raise DomainError("target must be finite, with a modulus below the float range")
     if x == 0 or x == 1:
         raise DomainError("target is a puncture")
     theta = cmath.phase(x)

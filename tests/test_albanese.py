@@ -77,6 +77,16 @@ class TestAlbanesePoint:
         p = albanese_point(x, cfg=cfg)
         assert max(abs(a - b) for a, b in zip(p.raw, expected)) < cfg.abs_tol
 
+    @pytest.mark.parametrize("x", (1e308, -1e308, 1e308j, 1e100 + 1e100j), ids=str)
+    def test_closed_forms_at_the_end_of_the_float_range(self, cfg, x):
+        # the reach ends in a log segment of up to 709 e-folds; a real x beyond 1
+        # is passed above 1, so its closed forms are taken at x + 0i
+        xb = complex(x, 1e-300) if x == x.real else complex(x)
+        expected = (cmath.log(xb) / TWO_PI_I, -cmath.log(1 - xb) / TWO_PI_I,
+                    li2(xb) / TWO_PI_I ** 2)
+        p = albanese_point(x, cfg=cfg)
+        assert max(abs(a - b) for a, b in zip(p.raw, expected)) < cfg.abs_tol
+
     def test_junction_point_target(self, cfg):
         # the standard path degenerates to a constant tail there
         p = albanese_point(0.125, cfg=cfg)

@@ -67,6 +67,14 @@ class TestExitCodes:
                                  "--abs-tol", "1e-16"])
         assert code == EXIT_NUMERIC
 
+    def test_targets_at_the_end_of_the_float_range(self, capsys):
+        code, _ = run(capsys, ["alb", "map", "--x", "1e308"])
+        assert code == EXIT_OK
+        for x in ("nan", "1.7e308+1.7e308j"):
+            code, out = run(capsys, ["alb", "map", "--x", x])
+            assert code == EXIT_DOMAIN
+            assert "finite" in out["error"]
+
     def test_panel_cap_exit_code(self, capsys):
         # a hundred thousand turns cannot be resolved within the panel cap
         code, out = run(capsys, ["ii", "signature", "--level", "2",

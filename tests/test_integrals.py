@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from alblab import integrals
 from alblab.integrals import (ConvergenceError, QuadratureConfig,
                               TWO_PI_I, _concat_arrays, array_to_series,
                               compose_signatures, iterated_integral,
@@ -186,12 +187,13 @@ class TestSpectralTransport:
             exact = (3 * TWO_PI_I) ** k / math.factorial(k)
             assert abs(sig.coefficient("0" * k) - exact) < 1e-12 * abs(exact)
 
-    def test_large_coefficients_meet_non_polynomial_forms(self, cfg):
+    def test_large_coefficients_meet_non_polynomial_forms(self, cfg, monkeypatch):
         # after three turns about 0 the state holds coefficients up to 1e6 and
         # gamma1's forms are not polynomial; a stop rule scaled to them ends
         # in a few dozen panels, where an absolute one needs thousands
         g0, g1 = {"loop": "gamma0", "turns": 3}, {"loop": "gamma1", "turns": 1}
-        whole = signature({"compose": [g0, g1]}, 8, QuadratureConfig(max_panels=200))
+        monkeypatch.setattr(integrals, "_MAX_PANELS", 200)
+        whole = signature({"compose": [g0, g1]}, 8, cfg)
         glued = compose_signatures(signature(g0, 8, cfg), signature(g1, 8, cfg))
         for w, c in glued.coeffs.items():
             assert abs(whole.coefficient(w) - c) < 1e-11 * max(1.0, abs(c))
@@ -205,14 +207,10 @@ class TestSpectralTransport:
         assert abs(sig.coefficient("1") - expected) < 1e-13 * abs(expected)
         assert abs(sig.coefficient("11") - expected ** 2 / 2) < 1e-12 * expected ** 2
 
-    def test_panel_cap_raises(self):
-        cfg = QuadratureConfig(max_panels=4)
-        with pytest.raises(ConvergenceError):
-            signature(make_path({"loop": "gamma0", "turns": 3}), 8, cfg)
-
-    def test_max_panels_positive(self):
-        with pytest.raises(DomainError):
-            QuadratureConfig(max_panels=0)
+    def test_panel_cap_raises(self, cfg):
+        # a hundred thousand turns cannot be resolved within the panel cap
+        with pytest.raises(ConvergenceError, match="panels"):
+            signature(make_path({"loop": "gamma0", "turns": 100000}), 2, cfg)
 
     def test_concat_arrays_matches_concat_mul(self, rng):
         r, dim = 6, 127
