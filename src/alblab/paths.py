@@ -480,7 +480,7 @@ def canonical_reach(x: complex, junction: float = JUNCTION_RADIUS,
         raise DomainError("target must be finite, with a modulus below the float range")
     if x == 0 or x == 1:
         raise DomainError("target is a puncture")
-    theta = cmath.phase(x)
+    theta = math.atan2(x.imag, x.real)   # cmath.phase raises where the angle underflows
     segs: list = []
     if abs(theta) > 1e-15:
         segs.append(CircularArc(0.0, junction, 0.0, theta))

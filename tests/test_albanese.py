@@ -68,22 +68,15 @@ class TestAlbanesePoint:
         with pytest.raises(DomainError):
             albanese_point(0.0, cfg=cfg)
 
-    @pytest.mark.parametrize("x", (1e-12, 2 + 1e-8j, 2 - 1e-8j, 1 + 1e-20j, 1 - 1e-20j), ids=str)
+    @pytest.mark.parametrize("x", (1e-12, 2 + 1e-8j, 2 - 1e-8j, 1 + 1e-20j, 1 - 1e-20j,
+                                   1e308 + 1e-300j, -1e308, 1e308j, 1e100 + 1e100j), ids=str)
     def test_closed_forms_next_to_puncture_and_cut(self, cfg, x):
         # 1e-12 hugs the puncture 0, 2 +- 1e-8 i lie next to the cut beyond 1,
-        # and 1 +- 1e-20 i sit closer to 1 than a float near 1 can resolve
+        # and 1 +- 1e-20 i sit closer to 1 than a float near 1 can resolve; the
+        # last four end the reach on a log segment of up to 709 e-folds (the
+        # reach to 1e308 + 1e-300 i is the one to 1e308, which passes above 1)
         expected = (cmath.log(x) / TWO_PI_I, -cmath.log(1 - x) / TWO_PI_I,
                     li2(x) / TWO_PI_I ** 2)
-        p = albanese_point(x, cfg=cfg)
-        assert max(abs(a - b) for a, b in zip(p.raw, expected)) < cfg.abs_tol
-
-    @pytest.mark.parametrize("x", (1e308, -1e308, 1e308j, 1e100 + 1e100j), ids=str)
-    def test_closed_forms_at_the_end_of_the_float_range(self, cfg, x):
-        # the reach ends in a log segment of up to 709 e-folds; a real x beyond 1
-        # is passed above 1, so its closed forms are taken at x + 0i
-        xb = complex(x, 1e-300) if x == x.real else complex(x)
-        expected = (cmath.log(xb) / TWO_PI_I, -cmath.log(1 - xb) / TWO_PI_I,
-                    li2(xb) / TWO_PI_I ** 2)
         p = albanese_point(x, cfg=cfg)
         assert max(abs(a - b) for a, b in zip(p.raw, expected)) < cfg.abs_tol
 
