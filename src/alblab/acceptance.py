@@ -20,12 +20,12 @@ from . import linalg
 from .albanese import (E23_ACTION, albanese_point, check_lie_action,
                        extended_albanese, lie_action_is_mhs_morphism,
                        monodromy_action, raw_coordinates, regression_constants)
-from .hodge import (LAMBDA, NilpotentEndo, WeightFiltrationGeneric,
+from .hodge import (LAMBDA, TWO_PI_I, NilpotentEndo, WeightFiltrationGeneric,
                     boundary_chart_point, griffiths_transversal,
                     hodge_filtration_from, pure_monodromy_filtration,
                     relative_monodromy_filtration, verify_relative_monodromy)
-from .integrals import (DEFAULT_CONFIG, QuadratureConfig, TWO_PI_I,
-                        compose_signatures, signature, tangential_iterated_integral)
+from .integrals import (DEFAULT_CONFIG, QuadratureConfig, compose_signatures, signature,
+                        tangential_iterated_integral)
 from .malcev import ExactSeries, bch, hall_dims, malcev_coordinates
 from .paths import Path, make_path
 from .series import shuffle_defect
@@ -210,7 +210,6 @@ def _lattice_subspaces(mat, w: WeightFiltrationGeneric, cap: int = 160):
     def key(basis):
         return tuple(tuple(v) for v in linalg.span_basis(basis))
     seen = {key(g): linalg.span_basis(g) for g in gens}
-    frontier = list(seen.values())
     for _ in range(2):
         new = []
         items = list(seen.values())
@@ -495,6 +494,9 @@ ALL_CRITERIA = [
     criterion_mhs_morphism,
     criterion_differential_relation,
 ]
+# the criteria that take no quadrature configuration
+EXACT_CRITERIA = (criterion_orbit_criterion, criterion_rmf,
+                  criterion_malcev_exactness, criterion_mhs_morphism)
 
 
 def run_acceptance(level: str = "full",
@@ -513,11 +515,4 @@ def run_acceptance(level: str = "full",
         ]
     if level != "full":
         raise ValueError("selftest level must be 'quick' or 'full'")
-    out = []
-    for fn in ALL_CRITERIA:
-        if fn in (criterion_orbit_criterion, criterion_rmf,
-                  criterion_malcev_exactness, criterion_mhs_morphism):
-            out.append(fn())
-        else:
-            out.append(fn(cfg))
-    return out
+    return [fn() if fn in EXACT_CRITERIA else fn(cfg) for fn in ALL_CRITERIA]

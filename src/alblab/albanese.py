@@ -18,12 +18,11 @@ from importlib import resources
 
 import numpy as np
 
-from .hodge import (ChartClass, boundary_chart_point, reduce_mod_integral)
-from .integrals import (ConvergenceError, DEFAULT_CONFIG, QuadratureConfig, TWO_PI_I,
-                        compose_signatures, regularized_loop_transport,
-                        regularized_signature)
-from .malcev import GroupWord
+from .hodge import TWO_PI_I, ChartClass, boundary_chart_point, reduce_mod_integral
+from .integrals import (ConvergenceError, DEFAULT_CONFIG, QuadratureConfig,
+                        regularized_loop_transport, regularized_signature)
 from .paths import DomainError
+from .series import TruncatedSeries
 
 EXTENSION_DISK_RADIUS = 0.5
 
@@ -56,14 +55,17 @@ class AlbanesePoint:
         }
 
 
+def period_coordinates(s: TruncatedSeries) -> tuple:
+    """(alpha, beta, lambda): the "0", "1" and "10" coefficients of a
+    regularized series over 2 pi i, 2 pi i and (2 pi i)^2."""
+    return (s.coefficient("0") / TWO_PI_I, s.coefficient("1") / TWO_PI_I,
+            s.coefficient("10") / TWO_PI_I ** 2)
+
+
 def raw_coordinates(x, cfg: QuadratureConfig = DEFAULT_CONFIG,
                     loop_prefix: str = "", level: int = 2) -> tuple:
     """Unreduced (alpha, beta, lambda) of x along the chosen homotopy class."""
-    s = regularized_signature(x, level, cfg, loop_prefix=loop_prefix)
-    alpha = s.coefficient("0") / TWO_PI_I
-    beta = s.coefficient("1") / TWO_PI_I
-    lam = s.coefficient("10") / TWO_PI_I ** 2
-    return alpha, beta, lam
+    return period_coordinates(regularized_signature(x, level, cfg, loop_prefix=loop_prefix))
 
 
 def albanese_point(x, homotopy_class: str = "",
@@ -113,15 +115,16 @@ def extended_albanese_class(x, cfg: QuadratureConfig = DEFAULT_CONFIG) -> ChartC
     return boundary_chart_point(q, beta, lam)
 
 
-def monodromy_action(word, cfg: QuadratureConfig = DEFAULT_CONFIG,
+def monodromy_action(loop, cfg: QuadratureConfig = DEFAULT_CONFIG,
                      integer_tol: float = 1e-3) -> np.ndarray:
-    """Integer matrix by which continuation along the loop word acts on the left."""
-    if isinstance(word, GroupWord):
-        word = " ".join(g if s == 1 else f"{g}^-1" for g, s in word.letters)
-    t = regularized_loop_transport(word, 2, cfg)
-    a = t.coefficient("0") / TWO_PI_I
-    b = t.coefficient("1") / TWO_PI_I
-    c = t.coefficient("10") / TWO_PI_I ** 2
+    """Integer matrix by which continuation along the loop acts on the left.
+
+    ``loop`` is a group word (a string or a GroupWord), a path spec or an
+    interior Path based on the positive real axis.  The period
+    coordinates (a, b, c) of the loop's transport at the tangential base
+    point give the matrix [[1, b, c], [0, 1, a], [0, 0, 1]].
+    """
+    a, b, c = period_coordinates(regularized_loop_transport(loop, 2, cfg))
     g = np.array([[1, b, c], [0, 1, a], [0, 0, 1]], dtype=complex)
     rounded = np.rint(g.real)
     defect = float(np.max(np.abs(g - rounded)))

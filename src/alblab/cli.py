@@ -15,7 +15,6 @@ import json
 import os
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -43,19 +42,13 @@ class BadJson(Exception):
 @dataclass
 class Config:
     abs_tol: float = 1e-10
-    level: int = 2
-    epsilons: tuple = QuadratureConfig().regularization_epsilons
-    workers: int = 4
 
     def __post_init__(self):
         if self.abs_tol <= 0:
             raise DomainError("abs_tol must be positive")
-        if self.level < 1:
-            raise DomainError("level must be >= 1")
 
     def quadrature(self) -> QuadratureConfig:
-        return QuadratureConfig(abs_tol=self.abs_tol,
-                                regularization_epsilons=self.epsilons)
+        return QuadratureConfig(abs_tol=self.abs_tol)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -86,11 +79,11 @@ def _parse_number(text: str):
     return parse_complex(s)
 
 
-def _parse_triple(text: str) -> tuple:
+def _parse_triple(text: str, parse=_parse_number) -> tuple:
     parts = str(text).split(",")
     if len(parts) != 3:
         raise DomainError(f"expected three comma-separated values, got {text!r}")
-    return tuple(_parse_number(p) for p in parts)
+    return tuple(parse(p) for p in parts)
 
 
 def _series_arg(text: str, level: int | None) -> malcev.ExactSeries:
@@ -160,9 +153,7 @@ def _h_ii_eval(args, cfg):
 
 def _h_ii_signature(args, cfg):
     path = make_path(_loads(args.path))
-    sig = integrals.signature(path, args.level if args.level else cfg.level,
-                              cfg.quadrature())
-    return sig.to_json()
+    return integrals.signature(path, args.level, cfg.quadrature()).to_json()
 
 
 def _h_ii_compose(args, cfg):
@@ -172,9 +163,8 @@ def _h_ii_compose(args, cfg):
 
 
 def _h_ii_regularized(args, cfg):
-    sig = integrals.regularized_signature(parse_complex(args.x),
-                                          args.level if args.level else cfg.level,
-                                          cfg.quadrature(), loop_prefix=args.loop_prefix)
+    sig = integrals.regularized_signature(parse_complex(args.x), args.level, cfg.quadrature(),
+                                          loop_prefix=args.loop_prefix)
     return {"level": sig.level,
             "coefficients": {w: _cjson(c) for w, c in sorted(sig.coeffs.items())}}
 
@@ -182,10 +172,8 @@ def _h_ii_regularized(args, cfg):
 def _h_ii_monodromy(args, cfg):
     if not args.loop_word and not args.loop:
         raise UsageError("ii monodromy needs --loop-word or --loop")
-    base = integrals.regularized_signature(parse_complex(args.x), 2, cfg.quadrature())
     loop = args.loop_word if args.loop_word else make_path(_loads(args.loop))
-    g = integrals.monodromy_matrix(loop, base, 2, cfg.quadrature())
-    return {"matrix": g.tolist()}
+    return {"matrix": albanese.monodromy_action(loop, cfg.quadrature()).tolist()}
 
 
 def _h_malcev_exp(args, cfg):
@@ -213,9 +201,8 @@ def _h_malcev_hall_dims(args, cfg):
 
 
 def _h_malcev_coords(args, cfg):
-    level = args.level if args.level else cfg.level
-    coords = malcev.malcev_coordinates(args.word, level)
-    return {"level": level, "coordinates": {w: str(c) for w, c in sorted(coords.items())}}
+    coords = malcev.malcev_coordinates(args.word, args.level)
+    return {"level": args.level, "coordinates": {w: str(c) for w, c in sorted(coords.items())}}
 
 
 def _fmt_number(v):
@@ -233,13 +220,13 @@ def _h_hodge_filtration(args, cfg):
 
 
 def _h_hodge_transversal(args, cfg):
-    n = hodge.NilpotentEndo(*(Fraction(p) for p in args.N.split(",")))
+    n = hodge.NilpotentEndo(*_parse_triple(args.N, Fraction))
     f = hodge.hodge_filtration_from(*_parse_triple(args.F))
     return {"transversal": hodge.griffiths_transversal(n, f)}
 
 
 def _h_hodge_orbit(args, cfg):
-    n = hodge.NilpotentEndo(*(Fraction(p) for p in args.N.split(",")))
+    n = hodge.NilpotentEndo(*_parse_triple(args.N, Fraction))
     f = hodge.hodge_filtration_from(*_parse_triple(args.F))
     result = hodge.generates_nilpotent_orbit(n, f)
     defect = result.criterion_defect
@@ -325,17 +312,16 @@ COMMAND_TABLE = {
     "iterated_integral": ("ii eval", _h_ii_eval,
                           [("--word", dict(required=True)), ("--path", dict(required=True))]),
     "signature": ("ii signature", _h_ii_signature,
-                  [("--path", dict(required=True)), ("--level", dict(type=int, default=0))]),
+                  [("--path", dict(required=True)), ("--level", dict(type=int, default=2))]),
     "compose_signatures": ("ii compose", _h_ii_compose,
                            [("--a", dict(required=True)), ("--b", dict(required=True))]),
     "regularized_signature": ("ii regularized", _h_ii_regularized,
                               [("--x", dict(required=True)),
-                               ("--level", dict(type=int, default=0)),
+                               ("--level", dict(type=int, default=2)),
                                ("--loop-prefix", dict(default="", dest="loop_prefix"))]),
     "monodromy_matrix": ("ii monodromy", _h_ii_monodromy,
                          [("--loop", dict(default="")),
-                          ("--loop-word", dict(default="", dest="loop_word")),
-                          ("--x", dict(default="0.5"))]),
+                          ("--loop-word", dict(default="", dest="loop_word"))]),
     "exp_trunc": ("malcev exp", _h_malcev_exp,
                   [("--series", dict(required=True)), ("--level", dict(type=int, default=None))]),
     "log_trunc": ("malcev log", _h_malcev_log,
@@ -350,7 +336,7 @@ COMMAND_TABLE = {
                   [("--r", dict(type=int, required=True))]),
     "malcev_coordinates": ("malcev coords", _h_malcev_coords,
                            [("--word", dict(required=True)),
-                            ("--level", dict(type=int, default=0))]),
+                            ("--level", dict(type=int, default=2))]),
     "hodge_filtration_from": ("hodge filtration", _h_hodge_filtration,
                               [("--F", dict(required=True))]),
     "griffiths_transversal": ("hodge transversal", _h_hodge_transversal,
@@ -389,8 +375,7 @@ def _dispatch_map():
 
 _DISPATCH = _dispatch_map()
 
-_GLOBAL_FLAGS = [("--abs-tol", dict(type=float, default=None, dest="abs_tol")),
-                 ("--workers", dict(type=int, default=4))]
+_GLOBAL_FLAGS = [("--abs-tol", dict(type=float, default=None, dest="abs_tol"))]
 
 
 def _build_config(ns) -> Config:
@@ -398,25 +383,27 @@ def _build_config(ns) -> Config:
     if abs_tol is None:
         env = os.environ.get("ALBLAB_TOL")
         abs_tol = float(env) if env else 1e-10
-    return Config(abs_tol=abs_tol, workers=ns.workers)
+    return Config(abs_tol=abs_tol)
+
+
+# exception -> exit code; DomainError is a ValueError
+_EXIT_CODES = ((UsageError, EXIT_USAGE), (BadJson, EXIT_BADJSON),
+               (ValueError, EXIT_DOMAIN), (ConvergenceError, EXIT_NUMERIC))
+
+
+def _answer(argv) -> tuple[int, dict | None]:
+    """(exit code, output or {"error": ...}) of one invocation."""
+    try:
+        out, code = _run(argv)
+    except (UsageError, BadJson, ValueError, ConvergenceError) as exc:
+        code = next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))
+        return code, {"error": str(exc)}
+    return code, out
 
 
 def run_command(argv: list[str]) -> int:
     """Execute one CLI invocation; prints JSON to stdout, returns the exit code."""
-    try:
-        out, code = _run(argv)
-    except UsageError as exc:
-        print(json.dumps({"error": str(exc)}, sort_keys=True, separators=(",", ":")))
-        return EXIT_USAGE
-    except BadJson as exc:
-        print(json.dumps({"error": str(exc)}, sort_keys=True, separators=(",", ":")))
-        return EXIT_BADJSON
-    except (DomainError, ValueError) as exc:
-        print(json.dumps({"error": str(exc)}, sort_keys=True, separators=(",", ":")))
-        return EXIT_DOMAIN
-    except ConvergenceError as exc:
-        print(json.dumps({"error": str(exc)}, sort_keys=True, separators=(",", ":")))
-        return EXIT_NUMERIC
+    code, out = _answer(argv)
     if out is not None:
         print(json.dumps(out, sort_keys=True, separators=(",", ":")))
     return code
@@ -445,35 +432,26 @@ def _run(argv):
 
 
 def _run_batch(argv):
-    source = argv[1] if len(argv) > 1 and not argv[1].startswith("--") else "-"
-    rest = argv[2:] if source != "-" or (len(argv) > 1 and argv[1] == "-") else argv[1:]
-    workers = 4
-    if "--workers" in rest:
+    source = argv[1] if len(argv) > 1 else "-"
+    if len(argv) > 2 or (source != "-" and source.startswith("-")):
+        raise UsageError(f"batch mode takes one input file or '-', got {' '.join(argv[1:])}")
+    if source == "-":
+        text = sys.stdin.read()
+    else:
         try:
-            workers = max(1, int(rest[rest.index("--workers") + 1]))
-        except (IndexError, ValueError) as exc:
-            raise UsageError("--workers needs an integer") from exc
-    text = sys.stdin.read() if source == "-" else open(source).read()
+            with open(source) as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise DomainError(f"cannot read batch input: {exc}") from exc
     data = _loads(text)
-    requests = data["requests"] if isinstance(data, dict) else data
-    if not isinstance(requests, list):
+    requests = data.get("requests") if isinstance(data, dict) else data
+    if not isinstance(requests, list) or not all(isinstance(r, list) for r in requests):
         raise BadJson("batch input must be a list of argv arrays")
-
-    def one(req):
-        try:
-            out, code = _run([str(t) for t in req])
-            return {"exit_code": code, "output": out}
-        except UsageError as exc:
-            return {"exit_code": EXIT_USAGE, "error": str(exc)}
-        except BadJson as exc:
-            return {"exit_code": EXIT_BADJSON, "error": str(exc)}
-        except (DomainError, ValueError) as exc:
-            return {"exit_code": EXIT_DOMAIN, "error": str(exc)}
-        except ConvergenceError as exc:
-            return {"exit_code": EXIT_NUMERIC, "error": str(exc)}
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        results = list(pool.map(one, requests))
+    results = []
+    for req in requests:
+        code, out = _answer([str(t) for t in req])
+        results.append({"exit_code": code, "output": out} if code == EXIT_OK
+                       else {"exit_code": code, **out})
     return {"results": results}, EXIT_OK
 
 

@@ -151,11 +151,9 @@ class HodgeFiltration:
         if g[2] == 0:
             raise DomainError("flag is not in the unipotent orbit of the base flag")
         lam, alpha = g[0] / g[2], g[1] / g[2]
-        # second generator of F^{-1}, normalized modulo the first
-        v = self.fm1[1] if self.fm1[1][2] == 0 or self.fm1[0][2] != 0 else self.fm1[0]
-        candidates = [w for w in self.fm1]
+        # beta from a generator of F^{-1} that keeps an e2 part modulo F^0
         beta = None
-        for w in candidates:
+        for w in self.fm1:
             u = [w[0] - w[2] * lam, w[1] - w[2] * alpha, 0]  # subtract the F^0 part
             if u[1] != 0:
                 beta = u[0] / u[1]

@@ -15,17 +15,22 @@ Two independent evaluation routes are kept deliberately separate:
   nested Gauss-Legendre quadrature on uniformly doubled panels.
 
 The two share neither nodes nor refinement rule, so the second
-cross-checks the first at low word length.  Tangential base points at
-the puncture 0 (tangent vector +1) are handled by the regularization
-ladder: multiply the signature from epsilon on the left by
-exp(log(eps)·e0) and extrapolate the ladder in the basis
-{1, eps, eps·log(eps), ...}, which matches the analytic form of the
-epsilon-error exactly.
+cross-checks the first at low word length.
+
+The tangential base point at the puncture 0 (tangent vector +1) is
+reached exactly.  Near 0 the signature has the nilpotent-orbit shape
+S(z) = exp(log z·e0)·H(z) with H holomorphic and H(0) = 1 (Deligne
+1989), and ``holomorphic_part`` sums the power series of H.  Every reach
+and every loop starts at the junction point 1/8, so one constant per
+level, S(1/8) = exp(log(1/8)·e0)·H(1/8), turns an interior transport
+from there into a regularized one.  ``tangential_iterated_integral``
+needs no series: its words start with the letter 1, so the direct
+quadrature runs on the segment from 0 itself.
 """
 
 from __future__ import annotations
 
-import cmath
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -33,12 +38,11 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial import chebyshev
 
-from .paths import (DomainError, JUNCTION_RADIUS, LogSegment, Path,
+from .malcev import GroupWord
+from .paths import (DomainError, JUNCTION_RADIUS, LineSegment, Path, TangentialAnchor,
                     canonical_reach, loop_from_group_word, make_path)
-from .series import TruncatedSeries, series_exp
+from .series import TruncatedSeries, exp_letter
 from .words import Word, check_word, word_basis
-
-TWO_PI_I = 2j * math.pi
 
 
 class ConvergenceError(RuntimeError):
@@ -49,17 +53,12 @@ class ConvergenceError(RuntimeError):
 class QuadratureConfig:
     abs_tol: float = 1e-10
     max_subdivisions: int = 10
-    # geometric ladder; the tail rungs drive the extrapolated limit
-    regularization_epsilons: tuple = (1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8)
 
     def __post_init__(self):
         if self.abs_tol <= 0:
             raise DomainError("abs_tol must be positive")
         if self.max_subdivisions < 1:
             raise DomainError("max_subdivisions must be positive")
-        eps = self.regularization_epsilons
-        if not eps or any(e <= 0 for e in eps) or any(a <= b for a, b in zip(eps, eps[1:])):
-            raise DomainError("regularization epsilons must decrease strictly toward 0")
 
 
 DEFAULT_CONFIG = QuadratureConfig()
@@ -69,34 +68,21 @@ DEFAULT_CONFIG = QuadratureConfig()
 # Words are stored in shortlex order, so the word of length k read as the
 # binary number b sits at index 2**k - 1 + b.
 
-class _WordTable:
-    def __init__(self, level: int):
-        self.level = level
-        self.words = word_basis(level)
-        self.index = {w: i for i, w in enumerate(self.words)}
-        self.dim = len(self.words)
-
-
 @lru_cache(maxsize=None)
-def _word_index(level: int) -> _WordTable:
-    return _WordTable(level)
+def _word_index(level: int) -> dict[Word, int]:
+    return {w: i for i, w in enumerate(word_basis(level))}
 
 
 def series_to_array(s: TruncatedSeries) -> np.ndarray:
-    idx = _word_index(s.level)
-    arr = np.zeros(idx.dim, dtype=complex)
+    index = _word_index(s.level)
+    arr = np.zeros(len(index), dtype=complex)
     for w, c in s.coeffs.items():
-        arr[idx.index[w]] = c
+        arr[index[w]] = c
     return arr
 
 
 def array_to_series(level: int, arr: np.ndarray) -> TruncatedSeries:
-    idx = _word_index(level)
-    return TruncatedSeries(level, {w: arr[i] for i, w in enumerate(idx.words)})
-
-
-def _exp_e0(coefficient: complex, level: int) -> TruncatedSeries:
-    return TruncatedSeries(level, series_exp({"0": coefficient}, level))
+    return TruncatedSeries(level, dict(zip(_word_index(level), arr)))
 
 
 @lru_cache(maxsize=None)
@@ -221,9 +207,13 @@ def signature(path, r: int, cfg: QuadratureConfig = DEFAULT_CONFIG) -> Truncated
     path = make_path(path)
     if not path.is_interior:
         raise DomainError("signature needs interior anchors; use the regularized variants")
+    _check_level(r)
+    return array_to_series(r, transport(path, r, cfg))
+
+
+def _check_level(r: int) -> None:
     if r < 0:
         raise DomainError("level must be >= 0")
-    return array_to_series(r, transport(path, r, cfg))
 
 
 def compose_signatures(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
@@ -288,8 +278,14 @@ def iterated_integral(word: Word, path, cfg: QuadratureConfig = DEFAULT_CONFIG,
     path = make_path(path)
     if not path.is_interior:
         raise DomainError("iterated_integral needs interior anchors")
+    value, err = _refined_quadrature(path, word, cfg)
+    return (value, err) if with_error else value
+
+
+def _refined_quadrature(path: Path, word: Word, cfg: QuadratureConfig) -> tuple[complex, float]:
+    """Nested quadrature with panels doubled until two refinements agree within abs_tol."""
     if word == "":
-        return (1.0 + 0j, 0.0) if with_error else 1.0 + 0j
+        return 1.0 + 0j, 0.0
     panels = 2
     prev = _nested_quadrature(path, word, panels)
     for _ in range(cfg.max_subdivisions):
@@ -297,37 +293,87 @@ def iterated_integral(word: Word, path, cfg: QuadratureConfig = DEFAULT_CONFIG,
         cur = _nested_quadrature(path, word, panels)
         err = abs(cur - prev)
         if err < cfg.abs_tol:
-            return (cur, err) if with_error else cur
+            return cur, err
         prev = cur
     raise ConvergenceError(
         f"quadrature did not reach {cfg.abs_tol:g} within {cfg.max_subdivisions} refinements")
 
 
-# --- tangential regularization ---------------------------------------------------
+# --- the tangential base point -----------------------------------------------------
 
-def _eps_extrapolate(values: list[np.ndarray], epsilons, level: int, cfg: QuadratureConfig):
-    """Limit of the ladder in the basis {1} ∪ {eps·log(eps)**k}, with a stability check."""
-    k_logs = min(max(level - 1, 1), len(epsilons) - 2)
-    npts = k_logs + 2
+_MAX_TERMS = 1000   # series terms holomorphic_part may sum before it gives up
 
-    def fit(idx_slice):
-        eps = np.array(epsilons[idx_slice])
-        mat = np.empty((len(eps), npts))
-        mat[:, 0] = 1.0
-        for k in range(k_logs + 1):
-            mat[:, 1 + k] = eps * np.log(eps) ** k
-        stacked = np.stack([values[i] for i in range(*idx_slice.indices(len(values)))])
-        coef = np.linalg.solve(mat, stacked)
-        return coef[0]
 
-    best = fit(slice(len(values) - npts, len(values)))
-    if len(values) > npts:
-        shifted = fit(slice(len(values) - npts - 1, len(values) - 1))
-        drift = float(np.max(np.abs(best - shifted)))
-        if drift > max(100 * cfg.abs_tol, 1e-8):
-            raise ConvergenceError(
-                f"regularization ladder did not stabilize (drift {drift:.2e})")
-    return best
+@lru_cache(maxsize=None)
+def _prepend_e0(level: int) -> np.ndarray:
+    """Index of the word 0·w for every word w shorter than the level."""
+    length = np.repeat(np.arange(level), 2 ** np.arange(level))
+    return np.arange(2 ** level - 1) + 2 ** length
+
+
+def _bracket_e0(x: np.ndarray, level: int) -> np.ndarray:
+    """[X, e0] = X·e0 - e0·X of a word-indexed array, truncated at the level."""
+    short = x[:2 ** level - 1]
+    out = np.zeros_like(x)
+    out[1::2] = short                 # the word w·0 sits at index 2i + 1
+    out[_prepend_e0(level)] -= short
+    return out
+
+
+def series_terms(z, r: int):
+    """The terms H_n z^n, n = 1, 2, ..., of H(z) in S(z) = exp(log z·e0)·H(z).
+
+    S is the signature from the tangential base point (0, +1) to z, along
+    the segment [0, z] with log z principal.  Putting the shape into
+    S' = S·(e0/z + e1/(1-z)) gives z H' = [H, e0] + z/(1-z)·H·e1, so
+    n H_n - [H_n, e0] = (H_0 + ... + H_{n-1})·e1 with H_0 = 1.  X -> [X, e0]
+    raises word length, so H_n is the finite Neumann series
+    sum_k [., e0]^k (rhs) / n^(k+1).  Each term has e1-coefficient z^n/n.
+    """
+    _check_level(r)
+    dim = 2 ** (r + 1) - 1
+    partial = np.zeros(dim, dtype=complex)     # H_0 + ... + H_{n-1}
+    partial[0] = 1.0
+    power = 1.0 + 0j
+    for n in itertools.count(1):
+        rhs = np.zeros(dim, dtype=complex)
+        rhs[2::2] = partial[:2 ** r - 1]        # the word w·1 sits at index 2i + 2
+        h = piece = rhs / n
+        for _ in range(r - 1):
+            piece = _bracket_e0(piece, r) / n
+            h = h + piece
+        partial += h
+        power *= z
+        yield h * power
+
+
+def holomorphic_part(z, r: int) -> np.ndarray:
+    """H(z) as a word-indexed array, summed until a term falls below
+    rounding relative to the sum: 16 or 17 terms at z = 1/8 on levels 1 to 8.
+    ConvergenceError after _MAX_TERMS terms."""
+    _check_level(r)
+    total = np.zeros(2 ** (r + 1) - 1, dtype=complex)
+    total[0] = 1.0
+    for term in itertools.islice(series_terms(z, r), _MAX_TERMS):
+        total += term
+        if np.abs(term).max() <= np.finfo(float).eps * np.abs(total).max():
+            return total
+    raise ConvergenceError(f"the series at the tangential base point did not converge "
+                           f"at z = {complex(z):g} within {_MAX_TERMS} terms")
+
+
+@lru_cache(maxsize=None)
+def _junction_part(r: int) -> np.ndarray:
+    h = holomorphic_part(JUNCTION_RADIUS, r)
+    h.flags.writeable = False
+    return h
+
+
+def _base_constant(r: int) -> np.ndarray:
+    """S(1/8) = exp(log(1/8)·e0)·H(1/8): the signature from the tangential
+    base point to the junction point, where every reach and loop starts."""
+    orbit = series_to_array(exp_letter(math.log(JUNCTION_RADIUS), "0", r))
+    return _concat_arrays(orbit, _junction_part(r), r)
 
 
 def regularized_signature(x, r: int = 2, cfg: QuadratureConfig = DEFAULT_CONFIG,
@@ -337,37 +383,34 @@ def regularized_signature(x, r: int = 2, cfg: QuadratureConfig = DEFAULT_CONFIG,
     The path is the standard reach (junction circle, then radial, around
     1 on the target's side when the ray comes close), optionally preceded
     by a loop word in the generators ("0 1^-1" style), and transported in
-    one pass.  The divergence at the base point
-    is removed by left multiplication with exp(log(eps)·e0) and ladder
-    extrapolation; with tangent vector +1 no further constant enters, so
-    the "0"-coefficient is the branch of log(x) continued along the path
-    and the "1"-coefficient is -log(1-x) on the same sheet.
+    one pass.  The base point's constant S(1/8) is multiplied on the left;
+    with tangent vector +1 the "0"-coefficient is the branch of log(x)
+    continued along the path and the "1"-coefficient is -log(1-x) on the
+    same sheet.
     """
     x = complex(x)
     if x in (0, 1):
         raise DomainError("x must avoid the punctures")
+    _check_level(r)
     path = canonical_reach(x)
     loop = loop_from_group_word(loop_prefix) if loop_prefix else None
     if loop is not None:
         path = loop.concat(path)
-    tail = transport(path, r, cfg)
-    values = []
-    for eps in cfg.regularization_epsilons:
-        approach = transport(Path((LogSegment(eps, JUNCTION_RADIUS),)), r, cfg)
-        corr = series_to_array(_exp_e0(cmath.log(eps), r))
-        values.append(_concat_arrays(_concat_arrays(corr, approach, r), tail, r))
-    limit = _eps_extrapolate(values, cfg.regularization_epsilons, r, cfg)
-    return array_to_series(r, limit)
+    return array_to_series(r, _concat_arrays(_base_constant(r), transport(path, r, cfg), r))
 
 
 def regularized_loop_transport(loop, r: int = 2,
                                cfg: QuadratureConfig = DEFAULT_CONFIG) -> TruncatedSeries:
     """Transport of a loop conjugated back to the tangential base point.
 
-    ``loop`` is a group word ("0 1 0^-1 1^-1"), a path spec, or an
-    interior Path based on the positive real axis.
+    ``loop`` is a group word ("0 1 0^-1 1^-1" or a GroupWord), a path
+    spec, or an interior Path based on the positive real axis.  With C
+    the signature from the base point to the loop's base (S(1/8), times
+    the reach from 1/8 when the loop starts elsewhere) the result is
+    C·S_loop·C^-1.
     """
-    if isinstance(loop, str):
+    _check_level(r)
+    if isinstance(loop, (str, GroupWord)):
         loop_path = loop_from_group_word(loop)
         if loop_path is None:
             return TruncatedSeries.identity(r)
@@ -378,71 +421,24 @@ def regularized_loop_transport(loop, r: int = 2,
         raise DomainError("monodromy needs a closed loop")
     if abs(base.imag) > 1e-12 or base.real <= 0:
         raise DomainError("loop must be based on the positive real axis")
-    s_loop = transport(loop_path, r, cfg)
-    reach = None
+    conj = _base_constant(r)
     if abs(base - JUNCTION_RADIUS) > 1e-12:
-        reach = transport(canonical_reach(base), r, cfg)
-    values = []
-    for eps in cfg.regularization_epsilons:
-        approach = transport(Path((LogSegment(eps, JUNCTION_RADIUS),)), r, cfg)
-        if reach is not None:
-            approach = _concat_arrays(approach, reach, r)
-        conj = _concat_arrays(series_to_array(_exp_e0(cmath.log(eps), r)), approach, r)
-        conj_series = array_to_series(r, conj)
-        t_eps = conj_series.mul(array_to_series(r, s_loop)).mul(conj_series.inverse())
-        values.append(series_to_array(t_eps))
-    limit = _eps_extrapolate(values, cfg.regularization_epsilons, r, cfg)
-    return array_to_series(r, limit)
-
-
-def _abc_from_series(s: TruncatedSeries) -> tuple[complex, complex, complex]:
-    a = s.coefficient("0") / TWO_PI_I
-    b = s.coefficient("1") / TWO_PI_I
-    c = s.coefficient("10") / TWO_PI_I ** 2
-    return a, b, c
-
-
-def _coordinate_matrix(alpha, beta, lam) -> np.ndarray:
-    return np.array([[1, beta, lam], [0, 1, alpha], [0, 0, 1]], dtype=complex)
-
-
-def monodromy_matrix(loop, base_signature: TruncatedSeries, r: int = 2,
-                     cfg: QuadratureConfig = DEFAULT_CONFIG,
-                     integer_tol: float = 1e-3) -> np.ndarray:
-    """Integer unipotent matrix by which continuation along the loop acts.
-
-    Continuing the period coordinates along the loop multiplies their
-    matrix on the left; the entries must land within ``integer_tol`` of
-    integers, otherwise branch tracking has gone wrong.
-    """
-    if r != 2:
-        raise DomainError("monodromy matrices are defined at level 2")
-    t_loop = regularized_loop_transport(loop, r, cfg)
-    continued = compose_signatures(t_loop, base_signature)
-    m_orig = _coordinate_matrix(*_abc_from_series(base_signature))
-    m_cont = _coordinate_matrix(*_abc_from_series(continued))
-    g = m_cont @ np.linalg.inv(m_orig)
-    rounded = np.rint(g.real)
-    defect = float(np.max(np.abs(g - rounded)))
-    if defect > integer_tol:
-        raise ConvergenceError(
-            f"monodromy entries are {defect:.2e} from integers; branch tracking failed")
-    return rounded.astype(int)
+        conj = _concat_arrays(conj, transport(canonical_reach(base), r, cfg), r)
+    conj_inv = series_to_array(array_to_series(r, conj).inverse())
+    return array_to_series(
+        r, _concat_arrays(_concat_arrays(conj, transport(loop_path, r, cfg), r), conj_inv, r))
 
 
 def tangential_iterated_integral(word: Word, x, cfg: QuadratureConfig = DEFAULT_CONFIG) -> complex:
-    """Limit of direct quadratures from eps to x along the positive ray.
+    """Iterated integral from the tangential base point (0, +1) to x along [0, x].
 
-    Only words not starting with the letter "0" stay finite in the
-    limit; the ladder is extrapolated exactly like the signatures.
+    Only words not starting with the letter "0" converge at the base
+    point.  For those the integrand is analytic at 0, so the direct
+    quadrature runs on the segment from 0 itself, sharing nothing with
+    the series at the base point.
     """
     check_word(word)
     if word and word[0] == "0":
         raise DomainError("words starting with dz/z diverge at the tangential base point")
-    x = complex(x)
-    values = []
-    for eps in cfg.regularization_epsilons:
-        seg = Path((LogSegment(eps, x),))
-        values.append(np.array([iterated_integral(word, seg, cfg)]))
-    limit = _eps_extrapolate(values, cfg.regularization_epsilons, max(len(word), 2), cfg)
-    return complex(limit[0])
+    path = Path((LineSegment(0j, complex(x)),), start_anchor=TangentialAnchor(0))
+    return _refined_quadrature(path, word, cfg)[0]

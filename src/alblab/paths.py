@@ -424,6 +424,8 @@ def make_path(spec) -> Path:
         raise DomainError("path spec must be a JSON object")
 
     if "compose" in spec:
+        if not isinstance(spec["compose"], list) or not spec["compose"]:
+            raise DomainError("compose needs a non-empty list of path specs")
         parts = [make_path(s) for s in spec["compose"]]
         path = parts[0]
         for p in parts[1:]:
@@ -474,6 +476,8 @@ def canonical_reach(x: complex, junction: float = JUNCTION_RADIUS,
     the target (above 1 for real targets beyond 1), which keeps its
     homotopy class and keeps every segment rho away from 1.  The choice
     fixes one homotopy class per target, which loop prefixes then act on.
+    A target so close to 1 that dz/(1-z) there exceeds the float range
+    (1 + 1e-310i) is rejected.
     """
     x = complex(x)
     if not math.isfinite(math.hypot(x.real, x.imag)):
@@ -486,6 +490,10 @@ def canonical_reach(x: complex, junction: float = JUNCTION_RADIUS,
         segs.append(CircularArc(0.0, junction, 0.0, theta))
     ray_start = junction * cmath.exp(1j * theta)
     rho = min(detour, abs(x - 1) / 2)
+    if 1 + rho == 1:
+        # the arc's far end 1 + rho would round onto 1; the circle through x
+        # ends the arc at x itself (one ulp beyond 1 on the real axis)
+        rho = abs(x - 1)
     if math.cos(theta) > 0 and abs(math.sin(theta)) < rho and abs(x) > math.cos(theta):
         # the ray meets the circle |z - 1| = rho at radii cos(theta) -+ h
         h = math.sqrt(rho * rho - math.sin(theta) ** 2)
@@ -503,6 +511,11 @@ def canonical_reach(x: complex, junction: float = JUNCTION_RADIUS,
         segs.append(LogSegment(ray_start, x))
     if not segs:
         segs.append(LineSegment(ray_start, ray_start))  # constant path
+    with np.errstate(over="ignore", invalid="ignore"):
+        end_forms = segs[-1].forms(np.ones(1), np.zeros(1))
+    if not np.isfinite(end_forms).all():
+        raise DomainError(f"dz/(1-z) at the target exceeds the float range: x lies "
+                          f"{abs(x - 1):.1e} from the puncture 1")
     return Path(tuple(segs))
 
 

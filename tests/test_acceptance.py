@@ -2,17 +2,14 @@
 
 import pytest
 
-from alblab.acceptance import ALL_CRITERIA, run_acceptance
+from alblab.acceptance import ALL_CRITERIA, EXACT_CRITERIA, run_acceptance
 from alblab.integrals import DEFAULT_CONFIG
 
 
 @pytest.mark.parametrize("criterion", ALL_CRITERIA,
                          ids=lambda fn: fn.__name__.replace("criterion_", ""))
 def test_criterion(criterion):
-    needs_cfg = criterion.__name__ not in (
-        "criterion_orbit_criterion", "criterion_rmf",
-        "criterion_malcev_exactness", "criterion_mhs_morphism")
-    result = criterion(DEFAULT_CONFIG) if needs_cfg else criterion()
+    result = criterion() if criterion in EXACT_CRITERIA else criterion(DEFAULT_CONFIG)
     print(result.line())
     assert result.passed, result.line()
 

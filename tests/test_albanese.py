@@ -11,8 +11,7 @@ from alblab.albanese import (E23_ACTION, E24_ACTION, albanese_point,
                              extended_albanese, extended_albanese_class,
                              lie_action_is_mhs_morphism, monodromy_action,
                              raw_coordinates, regression_constants)
-from alblab.hodge import boundary_chart_point, reduce_mod_integral
-from alblab.integrals import TWO_PI_I
+from alblab.hodge import TWO_PI_I, boundary_chart_point, reduce_mod_integral
 from alblab.paths import DomainError
 
 LI2_HALF = math.pi ** 2 / 12 - math.log(2) ** 2 / 2
@@ -79,6 +78,21 @@ class TestAlbanesePoint:
                     li2(x) / TWO_PI_I ** 2)
         p = albanese_point(x, cfg=cfg)
         assert max(abs(a - b) for a, b in zip(p.raw, expected)) < cfg.abs_tol
+
+    def test_one_ulp_beyond_one(self, cfg):
+        # the detour arc cannot end at 1 + ulp/2, which rounds onto 1; it ends
+        # at x itself, above 1, where 1 - x has argument -pi
+        x = 1.0000000000000002
+        above = complex(x, 1e-300)
+        expected = (cmath.log(above) / TWO_PI_I, -cmath.log(1 - above) / TWO_PI_I,
+                    li2(above) / TWO_PI_I ** 2)
+        p = albanese_point(x, cfg=cfg)
+        assert max(abs(a - b) for a, b in zip(p.raw, expected)) < cfg.abs_tol
+
+    def test_target_beyond_the_float_range_of_the_forms(self, cfg):
+        # dz/(1-z) is 2e310 at 1 + 1e-310 i: rejected, naming the limit
+        with pytest.raises(DomainError, match="float range"):
+            albanese_point(1 + 1e-310j, cfg=cfg)
 
     def test_junction_point_target(self, cfg):
         # the standard path degenerates to a constant tail there

@@ -75,6 +75,34 @@ class TestExitCodes:
             assert code == EXIT_DOMAIN
             assert "finite" in out["error"]
 
+    def test_next_to_one(self, capsys):
+        # one ulp beyond 1 is answered; 1e-310 from 1 is past the float range
+        # of dz/(1-z) and is rejected with the limit named
+        code, _ = run(capsys, ["alb", "map", "--x", "1.0000000000000002"])
+        assert code == EXIT_OK
+        code, out = run(capsys, ["alb", "map", "--x", "1+1e-310j"])
+        assert code == EXIT_DOMAIN
+        assert "float range" in out["error"]
+
+    def test_nilpotent_arity(self, capsys):
+        for sub in ("orbit", "transversal"):
+            code, out = run(capsys, ["hodge", sub, "--N", "1,1", "--F", "1,1"])
+            assert code == EXIT_DOMAIN
+            assert "three" in out["error"]
+
+    def test_empty_compose(self, capsys):
+        code, out = run(capsys, ["ii", "eval", "--word", "1", "--path", '{"compose":[]}'])
+        assert code == EXIT_DOMAIN
+        assert "compose" in out["error"]
+
+    def test_workers_flag_is_gone(self, capsys, monkeypatch):
+        import io
+        code, _ = run(capsys, ["alb", "map", "--x", "0.5", "--workers", "2"])
+        assert code == EXIT_USAGE
+        monkeypatch.setattr(sys, "stdin", io.StringIO("[]"))
+        code, _ = run(capsys, ["--json-in", "-", "--workers", "2"])
+        assert code == EXIT_USAGE
+
     def test_panel_cap_exit_code(self, capsys):
         # a hundred thousand turns cannot be resolved within the panel cap
         code, out = run(capsys, ["ii", "signature", "--level", "2",
@@ -148,6 +176,31 @@ class TestSubcommands:
     def test_ii_monodromy(self, capsys):
         code, out = run(capsys, ["ii", "monodromy", "--loop-word", "0"])
         assert out["matrix"] == [[1, 0, 0], [0, 1, 1], [0, 0, 1]]
+
+    def test_ii_monodromy_path_loop(self, capsys):
+        code, out = run(capsys, ["ii", "monodromy", "--loop", '{"loop":"gamma1","turns":1}'])
+        assert code == EXIT_OK
+        _, word = run(capsys, ["alb", "monodromy", "--word", "1"])
+        assert out["matrix"] == word["matrix"]
+
+    def test_ii_monodromy_takes_no_base_point(self, capsys):
+        code, _ = run(capsys, ["ii", "monodromy", "--loop-word", "0", "--x", "0.5"])
+        assert code == EXIT_USAGE
+
+    def test_level_zero_is_level_zero(self, capsys):
+        code, out = run(capsys, ["ii", "signature", "--path", '{"waypoints":[0.25,0.5]}',
+                                 "--level", "0"])
+        assert code == EXIT_OK and out == {"level": 0, "coefficients": {"": [1.0, 0.0]}}
+        code, out = run(capsys, ["ii", "regularized", "--x", "0.5", "--level", "0"])
+        assert code == EXIT_OK and out == {"level": 0, "coefficients": {"": [1.0, 0.0]}}
+        code, _ = run(capsys, ["malcev", "coords", "--word", "0 1", "--level", "0"])
+        assert code == EXIT_DOMAIN
+
+    def test_level_defaults_to_two(self, capsys):
+        _, out = run(capsys, ["ii", "regularized", "--x", "0.5"])
+        assert out["level"] == 2
+        _, out = run(capsys, ["malcev", "coords", "--word", "0 1 0^-1 1^-1"])
+        assert out["level"] == 2
 
     def test_malcev_exp_log(self, capsys):
         _, out = run(capsys, ["malcev", "exp", "--series", '{"0":"1"}', "--level", "2"])
@@ -256,6 +309,15 @@ class TestBatch:
         assert code == EXIT_OK
         assert out["results"][1]["exit_code"] == EXIT_USAGE
         assert out["results"][2]["exit_code"] == EXIT_OK
+
+    def test_batch_input_checked(self, capsys, monkeypatch, tmp_path):
+        import io
+        code, out = run(capsys, ["--json-in", str(tmp_path / "missing.json")])
+        assert code == EXIT_DOMAIN and "cannot read" in out["error"]
+        for text in ('{"no_requests": []}', '[["words", "basis", "--r", "1"], 7]'):
+            monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+            code, _ = run(capsys, ["--json-in", "-"])
+            assert code == EXIT_BADJSON
 
     def test_batch_malformed(self, capsys, monkeypatch):
         import io

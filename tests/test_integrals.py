@@ -7,12 +7,15 @@ import numpy as np
 import pytest
 
 from alblab import integrals
+from alblab.albanese import monodromy_action
+from alblab.hodge import TWO_PI_I
 from alblab.integrals import (ConvergenceError, QuadratureConfig,
-                              TWO_PI_I, _concat_arrays, array_to_series,
-                              compose_signatures, iterated_integral,
-                              monodromy_matrix, regularized_loop_transport,
+                              _concat_arrays, array_to_series,
+                              compose_signatures, holomorphic_part, iterated_integral,
+                              regularized_loop_transport,
                               regularized_signature, series_to_array, signature,
-                              tangential_iterated_integral)
+                              tangential_iterated_integral, transport)
+from alblab.malcev import GroupWord
 from alblab.paths import (DomainError, LineSegment, LogSegment, Path, loop_gamma0,
                           make_path)
 from alblab.series import TruncatedSeries, concat_mul, exp_letter, shuffle_defect
@@ -21,8 +24,9 @@ from alblab.words import shuffle_words, word_basis
 LI2_HALF = math.pi ** 2 / 12 - math.log(2) ** 2 / 2
 
 
-def li2_series(x: complex, terms: int = 200) -> complex:
-    return sum(x ** n / n ** 2 for n in range(1, terms))
+def polylog_series(r: int, x: complex, terms: int = 400) -> complex:
+    """Li_r(x) = sum x^n / n^r, for |x| well inside the unit disk."""
+    return sum(x ** n / n ** r for n in range(1, terms))
 
 
 def random_path(rng, n=3, margin=0.15):
@@ -46,6 +50,10 @@ class TestMakePath:
     def test_waypoint_at_puncture_rejected(self):
         with pytest.raises(DomainError):
             make_path({"waypoints": [0.5, 1.0]})
+
+    def test_empty_compose_rejected(self):
+        with pytest.raises(DomainError, match="non-empty"):
+            make_path({"compose": []})
 
     def test_disconnected_compose_rejected(self):
         with pytest.raises(DomainError):
@@ -83,6 +91,13 @@ class TestIteratedIntegral:
     def test_dilog_limit(self, cfg):
         value = tangential_iterated_integral("10", 0.5, cfg)
         assert abs(value - LI2_HALF) < 10 * cfg.abs_tol
+
+    @pytest.mark.parametrize("x", (0.5, 0.3 + 0.2j), ids=str)
+    def test_polylog_limits_on_the_segment_from_zero(self, cfg, x):
+        # words 1 0^(r-1) are analytic at 0, so [0, x] needs no regularization
+        for r in (1, 2, 3, 4):
+            value = tangential_iterated_integral("1" + "0" * (r - 1), x, cfg)
+            assert abs(value - polylog_series(r, x)) < 1e-12
 
     def test_diverging_word_rejected(self, cfg):
         with pytest.raises(DomainError):
@@ -291,12 +306,6 @@ class TestRegularized:
         with pytest.raises(DomainError):
             regularized_signature(1.0, 2, cfg)
 
-    def test_ladder_must_stabilize(self):
-        cfg = QuadratureConfig(abs_tol=1e-10,
-                               regularization_epsilons=(0.5, 0.4, 0.3, 0.2))
-        with pytest.raises(ConvergenceError):
-            regularized_signature(0.5, 2, cfg)
-
     def test_chen_pairing_finiteness(self, cfg):
         # pairing of a length-2 word against a product of three augmentation
         # factors: the alternating sum over sub-compositions cancels
@@ -316,29 +325,85 @@ class TestRegularized:
             assert abs(total) < 10 * cfg.abs_tol
 
 
+class TestTangentialBasePoint:
+    @pytest.mark.parametrize("x", (0.3, 0.3 + 0.2j, -0.7 + 0.1j), ids=str)
+    def test_polylog_anchors(self, cfg, x):
+        # the word 1 0^(r-1) of the regularized signature is Li_r(x)
+        for r in range(2, 9):
+            sig = regularized_signature(x, r, cfg)
+            assert abs(sig.coefficient("1" + "0" * (r - 1)) - polylog_series(r, x)) < 1e-13
+
+    def test_loop_about_zero_is_exact(self, cfg):
+        # at the tangential base point the monodromy about 0 is exp(2 pi i e0)
+        for r in range(2, 9):
+            t = regularized_loop_transport("0", r, cfg)
+            assert t.distance(exp_letter(TWO_PI_I, "0", r)) < 1e-11
+
+    def test_series_matches_transport_inside_the_disk(self, cfg):
+        # exp(log z e0) H(z) from the series alone, against S(1/8) times the
+        # panel engine's transport from 1/8 along a path inside |z| < 1/2
+        r = 6
+        path = make_path({"waypoints": [[0.125, 0], [0.3, 0.2], [-0.1, 0.4]]})
+        for end in (1, 2):
+            part = Path(path.segments[:end])
+            z = part.end
+            direct = exp_letter(cmath.log(z), "0", r).mul(array_to_series(r, holomorphic_part(z, r)))
+            routed = _concat_arrays(integrals._base_constant(r), transport(part, r, cfg), r)
+            assert direct.distance(array_to_series(r, routed)) < 1e-12
+
+    def test_series_terms_at_the_junction(self, monkeypatch):
+        # 17 terms reach rounding at 1/8 on level 8; 16 do not
+        monkeypatch.setattr(integrals, "_MAX_TERMS", 17)
+        holomorphic_part(0.125, 8)
+        monkeypatch.setattr(integrals, "_MAX_TERMS", 16)
+        with pytest.raises(ConvergenceError, match="16 terms"):
+            holomorphic_part(0.125, 8)
+
+    def test_series_must_converge(self):
+        # near the unit circle the terms decay like |z|^n / n
+        with pytest.raises(ConvergenceError, match="did not converge"):
+            holomorphic_part(0.999, 2)
+
+
 class TestMonodromyMatrix:
+    """The one monodromy route, albanese.monodromy_action, on loops of every kind."""
+
     def test_trivial_loop(self, cfg):
-        base = regularized_signature(0.5, 2, cfg)
         loop = make_path({"compose": [{"waypoints": [0.125, 0.3]},
                                       {"waypoints": [0.3, 0.125]}]})
-        g = monodromy_matrix(loop, base, 2, cfg)
-        assert (g == np.eye(3, dtype=int)).all()
+        assert (monodromy_action(loop, cfg) == np.eye(3, dtype=int)).all()
+
+    def test_trivial_path_spec_loop(self, cfg):
+        # a there-and-back loop from a base point off the junction, as a spec
+        spec = {"compose": [{"waypoints": [0.3, 0.6]}, {"waypoints": [0.6, 0.3]}]}
+        assert (monodromy_action(spec, cfg) == np.eye(3, dtype=int)).all()
 
     def test_gamma0(self, cfg):
-        base = regularized_signature(0.5, 2, cfg)
-        g = monodromy_matrix("0", base, 2, cfg)
+        g = monodromy_action("0", cfg)
         assert g.tolist() == [[1, 0, 0], [0, 1, 1], [0, 0, 1]]
 
     def test_gamma1_frozen(self, cfg):
         from alblab.albanese import regression_constants
-        base = regularized_signature(0.5, 2, cfg)
-        g = monodromy_matrix("1", base, 2, cfg)
+        g = monodromy_action("1", cfg)
         assert g.tolist() == regression_constants()["monodromy_matrices"]["gamma1"]
 
-    def test_level_fixed(self, cfg):
-        base = regularized_signature(0.5, 2, cfg)
-        with pytest.raises(DomainError):
-            monodromy_matrix("0", base, 3, cfg)
+    def test_group_word_and_string_agree(self, cfg):
+        word = "0 1 0^-1 1^-1"
+        g = monodromy_action(GroupWord.from_string(word), cfg)
+        assert g.tolist() == monodromy_action(word, cfg).tolist()
+
+    def test_loops_based_off_the_junction(self, cfg):
+        # polygons based at 0.3 are conjugated by the reach from 1/8 first
+        from alblab.albanese import regression_constants
+        frozen = regression_constants()["monodromy_matrices"]
+        about0 = {"waypoints": [0.3, [0, 0.3], [-0.3, 0], [0, -0.3], 0.3]}
+        about1 = {"waypoints": [0.3, [1, -0.5], [1.7, 0], [1, 0.5], 0.3]}
+        assert monodromy_action(about0, cfg).tolist() == frozen["gamma0"]
+        assert monodromy_action(about1, cfg).tolist() == frozen["gamma1"]
+
+    def test_gamma1_path_spec(self, cfg):
+        g = monodromy_action({"loop": "gamma1", "turns": 1}, cfg)
+        assert g.tolist() == monodromy_action("1", cfg).tolist()
 
 
 class TestShuffleRelationsSampled:
@@ -355,10 +420,6 @@ class TestShuffleRelationsSampled:
 
 
 class TestConfigValidation:
-    def test_epsilons_must_decrease(self):
-        with pytest.raises(DomainError):
-            QuadratureConfig(regularization_epsilons=(1e-3, 1e-3))
-
     def test_abs_tol_positive(self):
         with pytest.raises(DomainError):
             QuadratureConfig(abs_tol=0)

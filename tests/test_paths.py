@@ -30,6 +30,15 @@ class TestCanonicalReach:
         top = arcs[0].point(0.5).imag
         assert top > 0 if x.imag >= 0 else top < 0
 
+    def test_detour_one_ulp_beyond_one(self):
+        # 1 + ulp/2 rounds onto 1, so the arc takes the circle through x and ends there
+        x = 1.0000000000000002
+        path = canonical_reach(x)
+        arc = path.segments[-1]
+        assert isinstance(arc, CircularArc) and arc.center == 1 and arc.end == x
+        assert arc.point(0.5).imag > 0
+        assert all(seg.min_distance(1) > 0 for seg in path.segments)
+
     @pytest.mark.parametrize("x", (0.5, 0.3 + 0.2j, -2.0, 3j, 1e-12, 0.9999999))
     def test_no_detour_when_the_ray_keeps_clear(self, x):
         path = canonical_reach(x)
