@@ -208,18 +208,23 @@ def _lattice_subspaces(mat, w: WeightFiltrationGeneric, cap: int = 160):
         gens.append(linalg.image(mat, sub) if sub else [])
         gens.append(linalg.preimage(mat, sub))
     def key(basis):
-        return tuple(tuple(v) for v in linalg.span_basis(basis))
-    seen = {key(g): linalg.span_basis(g) for g in gens}
+        return tuple(map(tuple, basis))
+    # each subspace is kept as its rref basis, which is also its key
+    seen = {}
+    for g in gens:
+        basis = linalg.span_basis(g)
+        seen.setdefault(key(basis), basis)
     for _ in range(2):
         new = []
         items = list(seen.values())
         for a in items:
             for b in items:
+                # both return rref bases already
                 for combo in (linalg.intersect(a, b), linalg.add_spans(a, b)):
                     k = key(combo)
                     if k not in seen:
-                        seen[k] = linalg.span_basis(combo)
-                        new.append(seen[k])
+                        seen[k] = combo
+                        new.append(combo)
                 if len(seen) > cap:
                     break
             if len(seen) > cap:

@@ -15,7 +15,6 @@ import json
 import os
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -37,18 +36,6 @@ class UsageError(Exception):
 
 class BadJson(Exception):
     pass
-
-
-@dataclass
-class Config:
-    abs_tol: float = 1e-10
-
-    def __post_init__(self):
-        if self.abs_tol <= 0:
-            raise DomainError("abs_tol must be positive")
-
-    def quadrature(self) -> QuadratureConfig:
-        return QuadratureConfig(abs_tol=self.abs_tol)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -146,14 +133,14 @@ def _h_ii_path(args, cfg):
 
 def _h_ii_eval(args, cfg):
     path = make_path(_loads(args.path))
-    value, err = integrals.iterated_integral(args.word, path, cfg.quadrature(),
+    value, err = integrals.iterated_integral(args.word, path, cfg,
                                              with_error=True)
     return {"word": args.word, "value": _cjson(value), "abs_err_est": err}
 
 
 def _h_ii_signature(args, cfg):
     path = make_path(_loads(args.path))
-    return integrals.signature(path, args.level, cfg.quadrature()).to_json()
+    return integrals.signature(path, args.level, cfg).to_json()
 
 
 def _h_ii_compose(args, cfg):
@@ -163,7 +150,7 @@ def _h_ii_compose(args, cfg):
 
 
 def _h_ii_regularized(args, cfg):
-    sig = integrals.regularized_signature(parse_complex(args.x), args.level, cfg.quadrature(),
+    sig = integrals.regularized_signature(parse_complex(args.x), args.level, cfg,
                                           loop_prefix=args.loop_prefix)
     return {"level": sig.level,
             "coefficients": {w: _cjson(c) for w, c in sorted(sig.coeffs.items())}}
@@ -173,7 +160,7 @@ def _h_ii_monodromy(args, cfg):
     if not args.loop_word and not args.loop:
         raise UsageError("ii monodromy needs --loop-word or --loop")
     loop = args.loop_word if args.loop_word else make_path(_loads(args.loop))
-    return {"matrix": albanese.monodromy_action(loop, cfg.quadrature()).tolist()}
+    return {"matrix": albanese.monodromy_action(loop, cfg).tolist()}
 
 
 def _h_malcev_exp(args, cfg):
@@ -265,22 +252,22 @@ def _h_hodge_reduce(args, cfg):
 
 
 def _h_alb_map(args, cfg):
-    p = albanese.albanese_point(parse_complex(args.x), args.loop_prefix, cfg.quadrature())
+    p = albanese.albanese_point(parse_complex(args.x), args.loop_prefix, cfg)
     return p.to_json()
 
 
 def _h_alb_map_alt(args, cfg):
-    p = albanese.albanese_point_alt(parse_complex(args.x), args.loop_prefix, cfg.quadrature())
+    p = albanese.albanese_point_alt(parse_complex(args.x), args.loop_prefix, cfg)
     return p.to_json()
 
 
 def _h_alb_extend(args, cfg):
-    q, beta, lam = albanese.extended_albanese(parse_complex(args.x), cfg.quadrature())
+    q, beta, lam = albanese.extended_albanese(parse_complex(args.x), cfg)
     return {"q": _cjson(q), "beta": _cjson(beta), "lambda": _cjson(lam)}
 
 
 def _h_alb_monodromy(args, cfg):
-    return {"matrix": albanese.monodromy_action(args.word, cfg.quadrature()).tolist()}
+    return {"matrix": albanese.monodromy_action(args.word, cfg).tolist()}
 
 
 def _h_alb_mhs_check(args, cfg):
@@ -288,7 +275,7 @@ def _h_alb_mhs_check(args, cfg):
 
 
 def _h_selftest(args, cfg):
-    results = acceptance.run_acceptance(args.level, cfg.quadrature())
+    results = acceptance.run_acceptance(args.level, cfg)
     for r in results:
         print(r.line(), file=sys.stderr)
     return {"level": args.level,
@@ -378,12 +365,13 @@ _DISPATCH = _dispatch_map()
 _GLOBAL_FLAGS = [("--abs-tol", dict(type=float, default=None, dest="abs_tol"))]
 
 
-def _build_config(ns) -> Config:
+def _build_config(ns) -> QuadratureConfig:
+    """The global flags' config; QuadratureConfig rejects a bad abs_tol (exit 1)."""
     abs_tol = ns.abs_tol
     if abs_tol is None:
         env = os.environ.get("ALBLAB_TOL")
         abs_tol = float(env) if env else 1e-10
-    return Config(abs_tol=abs_tol)
+    return QuadratureConfig(abs_tol=abs_tol)
 
 
 # exception -> exit code; DomainError is a ValueError

@@ -42,7 +42,7 @@ from .malcev import GroupWord
 from .paths import (DomainError, JUNCTION_RADIUS, LineSegment, Path, TangentialAnchor,
                     canonical_reach, loop_from_group_word, make_path)
 from .series import TruncatedSeries, exp_letter
-from .words import Word, check_word, word_basis
+from .words import Word, check_word, word_index
 
 
 class ConvergenceError(RuntimeError):
@@ -55,26 +55,28 @@ class QuadratureConfig:
     max_subdivisions: int = 10
 
     def __post_init__(self):
-        if self.abs_tol <= 0:
-            raise DomainError("abs_tol must be positive")
+        if not (math.isfinite(self.abs_tol) and self.abs_tol > 0):
+            raise DomainError(f"abs_tol must be positive and finite, got {self.abs_tol}")
         if self.max_subdivisions < 1:
             raise DomainError("max_subdivisions must be positive")
 
 
 DEFAULT_CONFIG = QuadratureConfig()
 
+MAX_FLOAT_LEVEL = 12  # 8191 words a state; the slowest level-12 reach takes about 1.3 s
+
+
+def _check_level(r: int) -> None:
+    if not 0 <= r <= MAX_FLOAT_LEVEL:
+        raise DomainError(f"level must be between 0 and {MAX_FLOAT_LEVEL}, got {r}")
+
 
 # --- word indexing ---------------------------------------------------------------
 # Words are stored in shortlex order, so the word of length k read as the
 # binary number b sits at index 2**k - 1 + b.
 
-@lru_cache(maxsize=None)
-def _word_index(level: int) -> dict[Word, int]:
-    return {w: i for i, w in enumerate(word_basis(level))}
-
-
 def series_to_array(s: TruncatedSeries) -> np.ndarray:
-    index = _word_index(s.level)
+    index = word_index(s.level)
     arr = np.zeros(len(index), dtype=complex)
     for w, c in s.coeffs.items():
         arr[index[w]] = c
@@ -82,7 +84,7 @@ def series_to_array(s: TruncatedSeries) -> np.ndarray:
 
 
 def array_to_series(level: int, arr: np.ndarray) -> TruncatedSeries:
-    return TruncatedSeries(level, dict(zip(_word_index(level), arr)))
+    return TruncatedSeries(level, dict(zip(word_index(level), arr)))
 
 
 @lru_cache(maxsize=None)
@@ -175,6 +177,7 @@ def transport(path: Path, level: int, cfg: QuadratureConfig = DEFAULT_CONFIG) ->
     half first; past _MAX_PANELS panel evaluations ConvergenceError is
     raised.
     """
+    _check_level(level)
     y = np.zeros(2 ** (level + 1) - 1, dtype=complex)
     y[0] = 1.0
     if level == 0:
@@ -204,16 +207,11 @@ def transport(path: Path, level: int, cfg: QuadratureConfig = DEFAULT_CONFIG) ->
 
 def signature(path, r: int, cfg: QuadratureConfig = DEFAULT_CONFIG) -> TruncatedSeries:
     """Level-r path signature via the transport equation; interior anchors only."""
+    _check_level(r)
     path = make_path(path)
     if not path.is_interior:
         raise DomainError("signature needs interior anchors; use the regularized variants")
-    _check_level(r)
     return array_to_series(r, transport(path, r, cfg))
-
-
-def _check_level(r: int) -> None:
-    if r < 0:
-        raise DomainError("level must be >= 0")
 
 
 def compose_signatures(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:

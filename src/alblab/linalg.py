@@ -3,12 +3,18 @@
 Vectors are lists/tuples of Fraction (ints are accepted and coerced).
 Subspaces are represented by spanning lists of row vectors; ``rref``
 canonicalizes them, which makes equality of subspaces decidable.
+``rref`` is the integer kernel every exact operation here goes through:
+it eliminates on Python ints (rows scaled by the lcm of their
+denominators, fraction-free row operations) and returns the unique
+reduced rows as canonical Fractions.
 A float code path (numpy, rank tolerance) is provided for the few
 operations that must also accept inexact input.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from fractions import Fraction
 
 import numpy as np
@@ -24,28 +30,56 @@ def _frac(x) -> Fraction:
     raise TypeError(f"exact path needs int/Fraction entries, got {type(x).__name__}")
 
 
+def _scaled(row) -> tuple[list[int], int]:
+    """(n, d) with row = n / d: Python ints over the lcm d of the denominators."""
+    for x in row:
+        if not isinstance(x, (int, Fraction)):
+            _frac(x)   # raises the TypeError
+    scale = math.lcm(*[x.denominator for x in row])
+    return [x.numerator * (scale // x.denominator) for x in row], scale
+
+
+_ZERO, _ONE = Fraction(0), Fraction(1)
+
+
+def _over(n: int, d: int) -> Fraction:
+    """n / d as a Fraction, sharing the common values 0 and 1."""
+    if not n:
+        return _ZERO
+    return _ONE if n == d else Fraction(n, d)
+
+
 def rref(rows):
-    """Reduced row echelon form. Returns (rows, pivot_columns); zero rows dropped."""
-    mat = [[_frac(x) for x in row] for row in rows]
+    """Reduced row echelon form. Returns (rows, pivot_columns); zero rows dropped.
+
+    Gauss-Jordan on integer rows: a row is cleared at the pivot column by
+    p·row - a·pivot_row and divided by the gcd of its entries, so no
+    fraction appears until each pivot row is divided by its pivot at the
+    end.  The reduced form is unique, so the rows are the same canonical
+    Fractions that elimination over the rationals gives.
+    """
+    mat = [row for row, _ in map(_scaled, rows) if any(row)]
     pivots = []
     r = 0
     ncols = len(mat[0]) if mat else 0
     for c in range(ncols):
-        pivot = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
+        pivot = next((i for i in range(r, len(mat)) if mat[i][c]), None)
         if pivot is None:
             continue
         mat[r], mat[pivot] = mat[pivot], mat[r]
-        inv = 1 / mat[r][c]
-        mat[r] = [x * inv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
+        prow = mat[r]
+        p = prow[c]
+        for i, row in enumerate(mat):
+            a = row[c]
+            if a and i != r:
+                row = [p * x - a * y for x, y in zip(row, prow)]
+                g = math.gcd(*row)
+                mat[i] = [x // g for x in row] if g > 1 else row
         pivots.append(c)
         r += 1
         if r == len(mat):
             break
-    return [row for row in mat[:r]], pivots
+    return [[_over(x, row[c]) for x in row] for row, c in zip(mat, pivots)], pivots
 
 
 def rank(rows) -> int:
@@ -92,12 +126,21 @@ def nullspace(rows):
 
 
 def matvec(mat, vec):
-    return [sum((_frac(a) * _frac(x) for a, x in zip(row, vec)), Fraction(0)) for row in mat]
+    nv, dv = _scaled(vec)
+    out = []
+    for row in mat:
+        nr, dr = _scaled(row)
+        out.append(_over(sum(map(operator.mul, nr, nv)), dr * dv))
+    return out
 
 
 def matmul(a, b):
-    bt = list(zip(*b))
-    return [[sum((_frac(x) * _frac(y) for x, y in zip(row, col)), Fraction(0)) for col in bt] for row in a]
+    cols = [_scaled(col) for col in zip(*b)]
+    out = []
+    for row in a:
+        nr, dr = _scaled(row)
+        out.append([_over(sum(map(operator.mul, nr, nc)), dr * dc) for nc, dc in cols])
+    return out
 
 
 def mat_power(mat, k):
@@ -128,10 +171,10 @@ def intersect(a, b):
     # x = sum s_i a_i = sum t_j b_j  <=>  [A^T | -B^T](s,t) = 0
     stacked = [[_frac(a[i][c]) for i in range(len(a))] + [-_frac(b[j][c]) for j in range(len(b))]
                for c in range(ncols)]
+    columns = list(zip(*a))
     out = []
     for sol in nullspace(stacked):
-        coeffs = sol[: len(a)]
-        vec = [sum((coeffs[i] * _frac(a[i][c]) for i in range(len(a))), Fraction(0)) for c in range(ncols)]
+        vec = matvec(columns, sol[: len(a)])
         if any(x != 0 for x in vec):
             out.append(vec)
     return span_basis(out)

@@ -5,20 +5,33 @@ exponentials and logarithms, the coproduct classification separating Lie
 elements from group-likes, BCH products, Lyndon (Hall) bases of the free
 nilpotent Lie algebra, and Malcev coordinates of group words under
 gamma_i -> exp(e_i).
+
+The inner loops run on Python ints.  A series is taken as integer
+numerators over the lcm of its denominators (``_numerators``); products,
+exp and log concatenate numerators and sum the powers with integer
+weights over one common denominator, and the coproduct tests read a
+cached table of shuffle constraints (``_coproduct_table``) against the
+numerators.  Every coefficient handed out is a canonical Fraction.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
 from . import linalg
-from .series import concat_mul, series_exp, series_log, truncate
-from .words import Word, check_word, shuffle_words, word_basis
+from .series import concat_mul
+from .words import MAX_R, Word, check_word, shuffle_words, word_basis, word_index
 
-DEFAULT_MAX_LEVEL = 6  # tensor dimension 127; exact arithmetic stays quick
+MAX_EXACT_LEVEL = 10  # 2047 words; the costliest level-10 call answers in about 1 s
+
+
+def _check_level(level: int) -> None:
+    if not 1 <= level <= MAX_EXACT_LEVEL:
+        raise ValueError(f"exact level must be between 1 and {MAX_EXACT_LEVEL}, got {level}")
 
 
 @dataclass(frozen=True)
@@ -29,10 +42,9 @@ class ExactSeries:
     coeffs: dict[Word, Fraction] = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.level < 1:
-            raise ValueError("level must be >= 1")
-        clean = {check_word(w): Fraction(c) for w, c in self.coeffs.items()
-                 if len(w) <= self.level and c != 0}
+        _check_level(self.level)
+        clean = {check_word(w): c if type(c) is Fraction else Fraction(c)
+                 for w, c in self.coeffs.items() if len(w) <= self.level and c != 0}
         object.__setattr__(self, "coeffs", clean)
 
     @classmethod
@@ -49,7 +61,9 @@ class ExactSeries:
     def mul(self, other: "ExactSeries") -> "ExactSeries":
         if self.level != other.level:
             raise ValueError("level mismatch")
-        return ExactSeries(self.level, concat_mul(self.coeffs, other.coeffs, self.level))
+        a, da = _numerators(self.coeffs)
+        b, db = _numerators(other.coeffs)
+        return _from_numerators(self.level, concat_mul(a, b, self.level), da * db)
 
     def add(self, other: "ExactSeries") -> "ExactSeries":
         if self.level != other.level:
@@ -76,18 +90,61 @@ class ExactSeries:
                    {w: Fraction(c) for w, c in data["coefficients"].items()})
 
 
+def _numerators(coeffs: dict[Word, Fraction]) -> tuple[dict[Word, int], int]:
+    """(n, d) with coeffs = n / d: integer numerators over the lcm d of the denominators."""
+    d = math.lcm(*[c.denominator for c in coeffs.values()])
+    return {w: c.numerator * (d // c.denominator) for w, c in coeffs.items()}, d
+
+
+def _from_numerators(level: int, numerators: dict[Word, int], d: int) -> ExactSeries:
+    """The series numerators / d, one canonical Fraction per nonzero word."""
+    return ExactSeries(level, {w: Fraction(n, d) for w, n in numerators.items() if n})
+
+
+def _power_sum(j: dict[Word, int], level: int, weights: list[int]) -> dict[Word, int]:
+    """sum over k = 1..level of weights[k]·j^k, j with no constant term."""
+    total: dict[Word, int] = {}
+    power = {"": 1}
+    for k in range(1, level + 1):
+        power = concat_mul(power, j, level)
+        if not power:
+            break
+        for w, c in power.items():
+            total[w] = total.get(w, 0) + weights[k] * c
+    return total
+
+
 def exp_trunc(h: ExactSeries) -> ExactSeries:
-    """Truncated exponential; requires zero constant term."""
+    """Truncated exponential; requires zero constant term.
+
+    With h = n/d, exp(h) = sum_k n^k / (d^k k!), taken over the one
+    denominator d^r r! at level r, so the sum runs on ints.
+    """
     if h.coefficient("") != 0:
         raise ValueError("exp_trunc needs zero constant term")
-    return ExactSeries(h.level, series_exp(h.coeffs, h.level))
+    r = h.level
+    n, d = _numerators(h.coeffs)
+    denom = d ** r * math.factorial(r)
+    weights = [d ** (r - k) * (math.factorial(r) // math.factorial(k)) for k in range(r + 1)]
+    total = _power_sum(n, r, weights)
+    total[""] = denom
+    return _from_numerators(r, total, denom)
 
 
 def log_trunc(g: ExactSeries) -> ExactSeries:
-    """Truncated logarithm; requires constant term 1."""
+    """Truncated logarithm; requires constant term 1.
+
+    With g = 1 + n/d, log(g) = sum_k (-1)^(k+1) n^k / (k d^k), taken over
+    the one denominator d^r lcm(1..r) at level r, so the sum runs on ints.
+    """
     if g.coefficient("") != 1:
         raise ValueError("log_trunc needs constant term 1")
-    return ExactSeries(g.level, series_log(g.coeffs, g.level))
+    r = g.level
+    n, d = _numerators(g.coeffs)
+    del n[""]
+    m = math.lcm(*range(1, r + 1))
+    weights = [0] + [(-1) ** (k + 1) * d ** (r - k) * (m // k) for k in range(1, r + 1)]
+    return _from_numerators(r, _power_sum(n, r, weights), d ** r * m)
 
 
 # --- coproduct classification -------------------------------------------------
@@ -95,42 +152,47 @@ def log_trunc(g: ExactSeries) -> ExactSeries:
 # The coproduct dual to the shuffle product makes the letters primitive
 # (it is the coproduct under which group elements map to group-likes);
 # its pairing with a pair of words (u, v) is the shuffle multiplicity.
+# Its constraints are the same for every series of a level, so they are
+# tabled once, with words as their index in word_basis(level).
 
-def _pairs(level: int):
+@lru_cache(maxsize=None)
+def _coproduct_table(level: int) -> tuple[tuple[int, int, tuple[tuple[int, int], ...]], ...]:
+    """(u, v, ((w, m), ...)) for nonempty u <= v (shortlex) with |u| + |v| <= level:
+    the shuffle u ⧢ v = sum m·w.  The shuffle is symmetric, so v <= u adds nothing."""
     words = word_basis(level)
-    for u in words:
-        if not u:
-            continue
-        for v in words:
-            if not v or len(u) + len(v) > level:
-                continue
-            yield u, v
+    index = word_index(level)
+    return tuple((iu, iv, tuple((index[w], m) for w, m in shuffle_words(u, v)))
+                 for iu, u in enumerate(words) if u
+                 for iv, v in enumerate(words[iu:], iu) if len(u) + len(v) <= level)
+
+
+def _dense_numerators(s: ExactSeries) -> tuple[list[int], int]:
+    """Numerators indexed like word_basis(level), and their common denominator."""
+    n, d = _numerators(s.coeffs)
+    dense = [0] * (2 ** (s.level + 1) - 1)
+    index = word_index(s.level)
+    for w, x in n.items():
+        dense[index[w]] = x
+    return dense, d
 
 
 def is_primitive(h: ExactSeries) -> bool:
-    if h.coefficient("") != 0:
+    """sum m·h_w = 0 over u ⧢ v for every pair, tested on the numerators."""
+    if "" in h.coeffs:
         return False
-    for u, v in _pairs(h.level):
-        total = Fraction(0)
-        for w, m in shuffle_words(u, v):
-            if len(w) <= h.level:
-                total += m * h.coefficient(w)
-        if total != 0:
-            return False
-    return True
+    n, _ = _dense_numerators(h)
+    return all(sum(m * n[w] for w, m in terms) == 0
+               for _, _, terms in _coproduct_table(h.level))
 
 
 def is_grouplike(g: ExactSeries) -> bool:
-    if g.coefficient("") != 1:
+    """sum m·g_w = g_u·g_v over u ⧢ v for every pair; with g = n/d that is
+    d·sum m·n_w = n_u·n_v on the numerators."""
+    if g.coeffs.get("") != 1:
         return False
-    for u, v in _pairs(g.level):
-        total = Fraction(0)
-        for w, m in shuffle_words(u, v):
-            if len(w) <= g.level:
-                total += m * g.coefficient(w)
-        if total != g.coefficient(u) * g.coefficient(v):
-            return False
-    return True
+    n, d = _dense_numerators(g)
+    return all(d * sum(m * n[w] for w, m in terms) == n[u] * n[v]
+               for u, v, terms in _coproduct_table(g.level))
 
 
 def classify_coproduct(h: ExactSeries) -> str:
@@ -202,15 +264,20 @@ def bracket_expansion(w: Word) -> tuple[tuple[Word, int], ...]:
     return tuple(sorted((k, c) for k, c in out.items() if c != 0))
 
 
+def _check_r(r: int) -> None:
+    if not 1 <= r <= MAX_R:
+        raise ValueError(f"r must be between 1 and {MAX_R}, got {r}")
+
+
 def hall_dims(r: int) -> list[int]:
     """Dimensions of the graded pieces of the free nilpotent Lie algebra on two letters."""
-    if r < 1:
-        raise ValueError("r must be >= 1")
+    _check_r(r)
     return [len(lyndon_words(d)) for d in range(1, r + 1)]
 
 
 def hall_basis(r: int) -> list[tuple[Word, dict[Word, int]]]:
     """Lyndon representatives with their tensor expansions, degree by degree."""
+    _check_r(r)
     out = []
     for d in range(1, r + 1):
         for w in lyndon_words(d):
@@ -244,15 +311,15 @@ def hall_coordinates(h: ExactSeries) -> dict[Word, Fraction]:
 
 def primitive_space_dimension(level: int) -> int:
     """dim of the primitive subspace at the level, by exact linear algebra."""
-    words = [w for w in word_basis(level) if w]
+    _check_level(level)
+    dim = 2 ** (level + 1) - 2   # nonempty words; word index i sits in column i - 1
     constraints = []
-    for u, v in _pairs(level):
-        row = [Fraction(0)] * len(words)
-        for w, m in shuffle_words(u, v):
-            if len(w) <= level:
-                row[words.index(w)] += m
+    for _, _, terms in _coproduct_table(level):
+        row = [0] * dim
+        for w, m in terms:
+            row[w - 1] = m
         constraints.append(row)
-    return len(words) - linalg.rank(constraints)
+    return dim - linalg.rank(constraints)
 
 
 # --- group words and Malcev coordinates ---------------------------------------
@@ -301,6 +368,7 @@ class GroupWord:
 
 def group_log(word: GroupWord | str, level: int) -> ExactSeries:
     """log of the image of the word under gamma_i -> exp(e_i), truncated."""
+    _check_level(level)
     if isinstance(word, str):
         word = GroupWord.from_string(word)
     acc = ExactSeries.unit(level)

@@ -3,17 +3,18 @@
 The same letters "0", "1" index both the group-ring side (e0, e1) and
 the form side (dz/z, dz/(1-z)); a truncated series is a dict from word
 strings to coefficients, with all words longer than the level dropped.
-The arithmetic below is coefficient-type agnostic: it is used with
-exact Fractions by the Malcev module and with complex floats by the
-signature machinery.
+``concat_mul`` and ``series_inverse`` are coefficient-type agnostic: the
+signature machinery runs them on complex floats, and the Malcev module
+runs ``concat_mul`` on the Python-int numerators of its exact series
+(it keeps its own Fraction exp and log over a common denominator).
+``series_exp`` is the float exponential.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
-from .words import Word, check_word, shuffle_words
+from .words import Word, check_word, shuffle_words, word_basis
 
 Coeffs = dict[Word, object]
 
@@ -25,12 +26,15 @@ def truncate(coeffs: Coeffs, level: int) -> Coeffs:
 def concat_mul(a: Coeffs, b: Coeffs, level: int) -> Coeffs:
     """Concatenation product, truncated at the level."""
     out: Coeffs = {}
+    fits: dict[int, list] = {}   # room -> the terms of b no longer than room, in b's order
     for u, cu in a.items():
-        if len(u) > level:
+        room = level - len(u)
+        if room < 0:
             continue
-        for v, cv in b.items():
-            if len(u) + len(v) > level:
-                continue
+        terms = fits.get(room)
+        if terms is None:
+            terms = fits[room] = [(v, cv) for v, cv in b.items() if len(v) <= room]
+        for v, cv in terms:
             w = u + v
             prod = cu * cv
             out[w] = out[w] + prod if w in out else prod
@@ -38,7 +42,7 @@ def concat_mul(a: Coeffs, b: Coeffs, level: int) -> Coeffs:
 
 
 def series_exp(h: Coeffs, level: int) -> Coeffs:
-    """exp of a series with zero constant term, truncated."""
+    """exp of a float series with zero constant term, truncated."""
     out: Coeffs = {"": 1}
     power = {"": 1}
     fact = 1
@@ -46,40 +50,30 @@ def series_exp(h: Coeffs, level: int) -> Coeffs:
         power = concat_mul(power, h, level)
         fact *= k
         for w, c in power.items():
-            term = c / fact if not isinstance(c, Fraction) else c * Fraction(1, fact)
-            out[w] = out.get(w, 0) + term
-    return truncate(out, level)
-
-
-def series_log(g: Coeffs, level: int) -> Coeffs:
-    """log of a series with constant term 1, truncated."""
-    j = dict(g)
-    j[""] = j.get("", 0) - 1
-    j = {w: c for w, c in j.items() if c != 0}
-    out: Coeffs = {}
-    power = {"": 1}
-    for k in range(1, level + 1):
-        power = concat_mul(power, j, level)
-        sign = 1 if k % 2 == 1 else -1
-        for w, c in power.items():
-            term = c * Fraction(sign, k) if isinstance(c, Fraction) else c * sign / k
-            out[w] = out.get(w, 0) + term
+            out[w] = out.get(w, 0) + c / fact
     return truncate(out, level)
 
 
 def series_inverse(g: Coeffs, level: int) -> Coeffs:
-    """Inverse of a series with constant term 1 (geometric series)."""
-    j = dict(g)
-    j[""] = j.get("", 0) - 1
-    j = {w: c for w, c in j.items() if c != 0}
-    out: Coeffs = {"": 1}
-    power = {"": 1}
-    for k in range(1, level + 1):
-        power = concat_mul(power, j, level)
-        sign = 1 if k % 2 == 0 else -1
-        for w, c in power.items():
-            out[w] = out.get(w, 0) + sign * c
-    return truncate(out, level)
+    """Inverse of a series with nonzero constant term.
+
+    g·b = 1 read word by word is g_0·b_w = -sum over w = u·v, u nonempty,
+    of g_u·b_v: every b_v on the right belongs to a shorter word, so one
+    pass in shortlex order solves it with |w| products per word.
+    """
+    inv0 = 1 / g[""]
+    out: Coeffs = {"": inv0}
+    for w in word_basis(level)[1:]:
+        acc = 0
+        for k in range(1, len(w) + 1):
+            gu = g.get(w[:k])
+            if gu:
+                bv = out.get(w[k:])
+                if bv:
+                    acc = acc + gu * bv
+        if acc:
+            out[w] = -inv0 * acc
+    return out
 
 
 def shuffle_defect(coeffs: Coeffs, u: Word, v: Word):

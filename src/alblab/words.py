@@ -17,6 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 ALPHABET = ("0", "1")
+MAX_R = 14  # longest word length anything enumerates; hall-dims at 14 takes about 2 s
 
 Word = str
 
@@ -29,14 +30,20 @@ def check_word(w: str) -> str:
 
 def word_basis(r: int) -> list[Word]:
     """All words of length <= r in shortlex order; there are 2**(r+1) - 1."""
-    if r < 0:
-        raise ValueError("r must be >= 0")
+    if not 0 <= r <= MAX_R:
+        raise ValueError(f"r must be between 0 and {MAX_R}, got {r}")
     out: list[Word] = [""]
     layer = [""]
     for _ in range(r):
         layer = [w + ch for w in layer for ch in ALPHABET]
         out.extend(sorted(layer))
     return out
+
+
+@lru_cache(maxsize=None)
+def word_index(r: int) -> dict[Word, int]:
+    """Position of each word of length <= r in ``word_basis(r)``."""
+    return {w: i for i, w in enumerate(word_basis(r))}
 
 
 @lru_cache(maxsize=None)

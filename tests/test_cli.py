@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import alblab
@@ -113,6 +114,29 @@ class TestExitCodes:
     def test_missing_flag(self, capsys):
         code, _ = run(capsys, ["ii", "eval", "--word", "0"])
         assert code == EXIT_USAGE
+
+    def test_non_finite_tolerance(self, capsys, monkeypatch):
+        for tol in ("nan", "inf"):
+            code, out = run(capsys, ["alb", "map", "--x", "0.5", "--abs-tol", tol])
+            assert code == EXIT_DOMAIN
+            assert "finite" in out["error"]
+        monkeypatch.setenv("ALBLAB_TOL", "nan")
+        code, out = run(capsys, ["alb", "map", "--x", "0.5"])
+        assert code == EXIT_DOMAIN
+        assert "finite" in out["error"]
+
+    def test_size_caps(self, capsys):
+        # each of these used to run out of time or memory
+        for argv in (["words", "basis", "--r", "40"],
+                     ["malcev", "hall-dims", "--r", "200"],
+                     ["malcev", "coords", "--word", "0", "--level", "30"],
+                     ["ii", "signature", "--path", '{"loop":"gamma0"}', "--level", "30"],
+                     ["ii", "regularized", "--x", "0.5", "--level", "30"]):
+            start = time.perf_counter()
+            code, out = run(capsys, argv)
+            assert time.perf_counter() - start < 1
+            assert code == EXIT_DOMAIN
+            assert "between" in out["error"]
 
 
 class TestDeterminism:

@@ -18,7 +18,8 @@ from alblab.integrals import (ConvergenceError, QuadratureConfig,
 from alblab.malcev import GroupWord
 from alblab.paths import (DomainError, LineSegment, LogSegment, Path, loop_gamma0,
                           make_path)
-from alblab.series import TruncatedSeries, concat_mul, exp_letter, shuffle_defect
+from alblab.series import (TruncatedSeries, concat_mul, exp_letter, series_inverse,
+                           shuffle_defect)
 from alblab.words import shuffle_words, word_basis
 
 LI2_HALF = math.pi ** 2 / 12 - math.log(2) ** 2 / 2
@@ -261,6 +262,40 @@ class TestCompose:
             compose_signatures(TruncatedSeries.identity(2), TruncatedSeries.identity(3))
 
 
+class TestSeriesInverse:
+    def test_exact_with_fractions(self, rng):
+        from fractions import Fraction
+        g = {"": Fraction(1)}
+        for w in word_basis(6)[1:]:
+            if rng.random() < 0.7:
+                g[w] = Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 8)))
+        inv = series_inverse(g, 6)
+        assert concat_mul(g, inv, 6) == {"": 1}
+        assert concat_mul(inv, g, 6) == {"": 1}
+
+    def test_level8_signature(self, cfg):
+        sig = signature({"waypoints": [[0.3, 0.3], [0.4, -0.5], [2, 0.1]]}, 8, cfg)
+        one = TruncatedSeries.identity(8)
+        assert sig.mul(sig.inverse()).distance(one) < 1e-13
+        assert sig.inverse().mul(sig).distance(one) < 1e-12
+
+    def test_needs_unit_constant(self):
+        with pytest.raises(ValueError):
+            TruncatedSeries(2, {"": 2, "0": 1}).inverse()
+
+
+class TestSizeCaps:
+    def test_float_level(self, cfg):
+        top = integrals.MAX_FLOAT_LEVEL
+        assert signature({"waypoints": [[0.25, 0], [0.3, 0]]}, top, cfg).level == top
+        for call in (lambda: signature({"loop": "gamma0"}, top + 1, cfg),
+                     lambda: regularized_signature(0.5, top + 1, cfg),
+                     lambda: regularized_loop_transport("0", top + 1, cfg),
+                     lambda: transport(make_path({"loop": "gamma0"}), top + 1, cfg)):
+            with pytest.raises(DomainError, match="level must be between"):
+                call()
+
+
 class TestRegularized:
     def test_half_closed_forms(self, cfg):
         sig = regularized_signature(0.5, 2, cfg)
@@ -423,3 +458,8 @@ class TestConfigValidation:
     def test_abs_tol_positive(self):
         with pytest.raises(DomainError):
             QuadratureConfig(abs_tol=0)
+
+    def test_abs_tol_finite(self):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(DomainError, match="finite"):
+                QuadratureConfig(abs_tol=bad)

@@ -3,12 +3,15 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from alblab.malcev import (ExactSeries, GroupWord, bch, classify_coproduct,
-                           exp_trunc, group_log, hall_basis, hall_coordinates,
-                           hall_dims, is_grouplike, is_primitive, log_trunc,
-                           lyndon_words, malcev_coordinates,
+from alblab.malcev import (MAX_EXACT_LEVEL, ExactSeries, GroupWord, bch, bracket_expansion,
+                           classify_coproduct, exp_trunc, group_log, hall_basis,
+                           hall_coordinates, hall_dims, is_grouplike, is_primitive,
+                           log_trunc, lyndon_words, malcev_coordinates,
                            primitive_space_dimension)
+from alblab.words import MAX_R, word_basis
 
 def random_series(rng, level, max_len=None):
     from alblab.words import word_basis
@@ -91,7 +94,6 @@ def hall_coords_sample(rng, level):
 
 
 def lie_element(coords, level):
-    from alblab.malcev import bracket_expansion
     coeffs: dict = {}
     for w, c in coords.items():
         for tw, m in bracket_expansion(w):
@@ -160,12 +162,11 @@ class TestHall:
             assert hall_dims(n)[-1] == necklace(n)
 
     def test_primitive_dimension_matches(self):
-        for r in (1, 2, 3, 4):
+        for r in (1, 2, 3, 4, 5, 6):
             assert primitive_space_dimension(r) == sum(hall_dims(r))
 
     def test_representatives_expand_independently(self):
         from alblab import linalg
-        from alblab.malcev import bracket_expansion
         from alblab.words import word_basis
         for d in range(1, 5):
             words_d = [w for w in word_basis(d) if len(w) == d]
@@ -261,3 +262,112 @@ class TestSerialization:
     def test_round_trip(self):
         s = ExactSeries(3, {"01": Fraction(2, 3), "": Fraction(1)})
         assert ExactSeries.from_json(s.to_json()).coeffs == s.coeffs
+
+
+# --- the integer kernels against plain Fraction arithmetic --------------------------
+
+coefficients = st.one_of(st.fractions(min_value=-5, max_value=5, max_denominator=9),
+                         st.builds(Fraction, st.integers(-10 ** 12, 10 ** 12),
+                                   st.integers(1, 10 ** 12)))
+
+
+@st.composite
+def lie_elements(draw, min_level=1):
+    """A random rational combination of Lyndon brackets, as an ExactSeries."""
+    level = draw(st.integers(min_level, 6))
+    coeffs: dict = {}
+    for d in range(1, level + 1):
+        for w in lyndon_words(d):
+            if draw(st.booleans()):
+                c = draw(coefficients)
+                for tw, m in bracket_expansion(w):
+                    coeffs[tw] = coeffs.get(tw, Fraction(0)) + c * m
+    return ExactSeries(level, coeffs)
+
+
+@st.composite
+def exact_series(draw):
+    level = draw(st.integers(1, 6))
+    words = draw(st.lists(st.sampled_from(word_basis(level)), max_size=30))
+    return ExactSeries(level, {w: draw(coefficients) for w in words})
+
+
+def reference_concat(a: ExactSeries, b: ExactSeries) -> dict:
+    out: dict = {}
+    for u, cu in a.coeffs.items():
+        for v, cv in b.coeffs.items():
+            if len(u) + len(v) <= a.level:
+                out[u + v] = out.get(u + v, Fraction(0)) + cu * cv
+    return {w: c for w, c in out.items() if c != 0}
+
+
+class TestIntegerKernels:
+    @given(lie_elements())
+    @settings(max_examples=60, deadline=None)
+    def test_exp_log_round_trip(self, h):
+        assert is_primitive(h)
+        g = exp_trunc(h)
+        assert is_grouplike(g)
+        assert log_trunc(g).coeffs == h.coeffs
+        assert all(type(c) is Fraction for c in g.coeffs.values())
+
+    @given(lie_elements(min_level=2), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_one_coefficient_perturbation_is_caught(self, h, data):
+        # a word of length >= 2 sits in the shuffle of its first letter with
+        # the rest, so changing its coefficient alone breaks that constraint
+        w = data.draw(st.sampled_from([w for w in word_basis(h.level) if len(w) != 1]))
+        delta = data.draw(coefficients.filter(bool))
+        g = exp_trunc(h)
+        bumped = dict(g.coeffs)
+        bumped[w] = bumped.get(w, Fraction(0)) + delta
+        assert not is_grouplike(ExactSeries(h.level, bumped))
+        if w:
+            lie = dict(h.coeffs)
+            lie[w] = lie.get(w, Fraction(0)) + delta
+            assert not is_primitive(ExactSeries(h.level, lie))
+
+    @given(exact_series(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_mul_matches_fraction_concatenation(self, a, data):
+        b = data.draw(exact_series().map(lambda s: ExactSeries(a.level, s.coeffs)))
+        out = a.mul(b)
+        assert out.coeffs == reference_concat(a, b)
+        assert all(type(c) is Fraction for c in out.coeffs.values())
+
+    def test_exp_log_by_fraction_series(self):
+        # exp and log as plain Fraction power sums, at level 4
+        h = ExactSeries(4, {"0": Fraction(2, 3), "1": Fraction(-5, 7),
+                            "01": Fraction(1, 11), "10": Fraction(-1, 11)})
+        power = ExactSeries.unit(4)
+        exp_ref = ExactSeries.unit(4)
+        fact = 1
+        for k in range(1, 5):
+            power = ExactSeries(4, reference_concat(power, h))
+            fact *= k
+            exp_ref = exp_ref.add(power.scale(Fraction(1, fact)))
+        assert exp_trunc(h).coeffs == exp_ref.coeffs
+        j = ExactSeries(4, {w: c for w, c in exp_ref.coeffs.items() if w})
+        power = ExactSeries.unit(4)
+        log_ref = ExactSeries(4, {})
+        for k in range(1, 5):
+            power = ExactSeries(4, reference_concat(power, j))
+            log_ref = log_ref.add(power.scale(Fraction((-1) ** (k + 1), k)))
+        assert log_trunc(exp_ref).coeffs == log_ref.coeffs == h.coeffs
+
+
+class TestSizeCaps:
+    def test_exact_level(self):
+        ExactSeries(MAX_EXACT_LEVEL, {"0": 1})
+        with pytest.raises(ValueError, match="exact level"):
+            ExactSeries(MAX_EXACT_LEVEL + 1, {})
+        with pytest.raises(ValueError, match="exact level"):
+            malcev_coordinates("0", MAX_EXACT_LEVEL + 1)
+        with pytest.raises(ValueError, match="exact level"):
+            primitive_space_dimension(MAX_EXACT_LEVEL + 1)
+
+    def test_hall_r(self):
+        with pytest.raises(ValueError, match="between 1 and"):
+            hall_dims(MAX_R + 1)
+        with pytest.raises(ValueError, match="between 1 and"):
+            hall_basis(MAX_R + 1)
