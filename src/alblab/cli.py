@@ -17,11 +17,10 @@ import re
 import sys
 from fractions import Fraction
 
-import numpy as np
-
 from . import acceptance, albanese, hodge, integrals, malcev, words
 from .integrals import ConvergenceError, QuadratureConfig
-from .paths import DomainError, make_path, parse_complex
+from .paths import BadJson, DomainError, expect, make_path, parse_complex
+from .series import TruncatedSeries
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -34,10 +33,6 @@ class UsageError(Exception):
     pass
 
 
-class BadJson(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
@@ -46,7 +41,7 @@ class _Parser(argparse.ArgumentParser):
 def _loads(text: str):
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise BadJson(f"malformed JSON: {exc}") from exc
 
 
@@ -56,14 +51,24 @@ def _cjson(z) -> list:
 
 
 _RATIONAL = re.compile(r"^[+-]?\d+(/\d+)?$")
+_EXPONENT = re.compile(r"[eE][+-]?0*(\d{5,})")   # Fraction("1e9999999") takes seconds
+
+
+def _fraction(value) -> Fraction:
+    """A rational from JSON: an integer, a float or a string Fraction reads."""
+    expect(isinstance(value, (int, float, str)), f"expected a rational number, got {value!r}")
+    if isinstance(value, str) and _EXPONENT.search(value):
+        raise DomainError(f"exponent too large in {value!r}")
+    try:
+        return Fraction(value)
+    except (ValueError, OverflowError, ZeroDivisionError) as exc:
+        raise DomainError(f"not a finite rational: {value!r}") from exc
 
 
 def _parse_number(text: str):
     """Rational when it looks rational (exact paths stay exact), else complex."""
     s = str(text).strip()
-    if _RATIONAL.match(s):
-        return Fraction(s)
-    return parse_complex(s)
+    return _fraction(s) if _RATIONAL.match(s) else parse_complex(s)
 
 
 def _parse_triple(text: str, parse=_parse_number) -> tuple:
@@ -73,25 +78,52 @@ def _parse_triple(text: str, parse=_parse_number) -> tuple:
     return tuple(parse(p) for p in parts)
 
 
+def _rational_map(data, what: str) -> dict:
+    expect(isinstance(data, dict), f"{what} must be a JSON object")
+    return {k: _fraction(v) for k, v in data.items()}
+
+
 def _series_arg(text: str, level: int | None) -> malcev.ExactSeries:
+    """{"level": r, "coefficients": {word: rational}}, or the bare map with --level."""
     data = _loads(text)
     if isinstance(data, dict) and "coefficients" in data:
-        return malcev.ExactSeries.from_json(data)
-    if level is None:
+        level, data = data.get("level"), data["coefficients"]
+        expect(isinstance(level, int), f"series level must be an integer, got {level!r}")
+    elif level is None:
         raise DomainError("bare coefficient maps need --level")
-    return malcev.ExactSeries(level, {w: Fraction(c) for w, c in data.items()})
-
-
-def _truncated_arg(text: str) -> integrals.TruncatedSeries:
-    from .series import TruncatedSeries
-    return TruncatedSeries.from_json(_loads(text))
+    return malcev.ExactSeries(level, _rational_map(data, "series coefficients"))
 
 
 def _shuffle_arg(text: str) -> words.ShuffleElement:
     data = _loads(text)
     if isinstance(data, str):
         return words.ShuffleElement.from_word(data)
-    return words.ShuffleElement.from_json(data)
+    return words.ShuffleElement(_rational_map(data, "a shuffle element"))
+
+
+def _rational_rows(data, what: str, width: int) -> list:
+    expect(isinstance(data, list) and all(isinstance(v, list) and len(v) == width for v in data),
+           f"{what} must be a list of lists of {width} rationals")
+    return [[_fraction(x) for x in row] for row in data]
+
+
+def _form_table_arg(text: str) -> words.SymbolicFormTable:
+    """{"degree": {letter: int}, "d": {letter: {symbol: rational}},
+    "wedge": {"a,b": {symbol: rational}}}, every key optional."""
+    raw = _loads(text)
+    expect(isinstance(raw, dict), "the form table must be a JSON object")
+    degree = raw.get("degree", {"0": 1, "1": 1})
+    d, wedge = raw.get("d", {}), raw.get("wedge", {})
+    expect(isinstance(degree, dict) and isinstance(d, dict) and isinstance(wedge, dict)
+           and all(isinstance(v, int) for v in degree.values()),
+           "degree maps letters to integers; d and wedge are JSON objects")
+    pairs = {tuple(k.split(",")): v for k, v in wedge.items()}
+    if any(len(pair) != 2 or not set(pair) <= degree.keys() for pair in pairs):
+        raise DomainError('wedge keys are pairs "a,b" of letters with a degree')
+    return words.SymbolicFormTable(
+        degree=dict(degree),
+        d={k: _rational_map(v, "a derivative") for k, v in d.items()},
+        wedge={pair: _rational_map(v, "a wedge") for pair, v in pairs.items()})
 
 
 # --- handlers --------------------------------------------------------------------
@@ -111,15 +143,11 @@ def _h_words_deconcat(args, cfg):
 
 
 def _h_words_dbar(args, cfg):
-    table = words.SymbolicFormTable.default()
-    if args.table:
-        raw = _loads(args.table)
-        table = words.SymbolicFormTable(
-            degree={k: int(v) for k, v in raw.get("degree", {"0": 1, "1": 1}).items()},
-            d={k: {s: Fraction(c) for s, c in v.items()} for k, v in raw.get("d", {}).items()},
-            wedge={tuple(k.split(",")): {s: Fraction(c) for s, c in v.items()}
-                   for k, v in raw.get("wedge", {}).items()})
+    table = _form_table_arg(args.table) if args.table else words.SymbolicFormTable.default()
     word = tuple(args.word.split()) if " " in args.word else args.word
+    missing = sorted(set(word) - table.degree.keys())
+    if missing:
+        raise DomainError(f"letters missing from the form table: {missing}")
     terms = words.bar_differential(word, table)
     return {"terms": [{"word": list(k), "coefficient": str(c)}
                       for k, c in sorted(terms.items())]}
@@ -144,16 +172,13 @@ def _h_ii_signature(args, cfg):
 
 
 def _h_ii_compose(args, cfg):
-    out = integrals.compose_signatures(_truncated_arg(args.a), _truncated_arg(args.b))
-    return {"level": out.level,
-            "coefficients": {w: _cjson(c) for w, c in sorted(out.coeffs.items())}}
+    a, b = (TruncatedSeries.from_json(_loads(text)) for text in (args.a, args.b))
+    return a.mul(b).to_json()
 
 
 def _h_ii_regularized(args, cfg):
-    sig = integrals.regularized_signature(parse_complex(args.x), args.level, cfg,
-                                          loop_prefix=args.loop_prefix)
-    return {"level": sig.level,
-            "coefficients": {w: _cjson(c) for w, c in sorted(sig.coeffs.items())}}
+    return integrals.regularized_signature(parse_complex(args.x), args.level, cfg,
+                                           loop_prefix=args.loop_prefix).to_json()
 
 
 def _h_ii_monodromy(args, cfg):
@@ -184,7 +209,7 @@ def _h_malcev_bch(args, cfg):
 def _h_malcev_hall_dims(args, cfg):
     dims = malcev.hall_dims(args.r)
     return {"dims": dims, "total": sum(dims),
-            "representatives": [w for w, _ in malcev.hall_basis(args.r)]}
+            "representatives": [w for d in range(1, args.r + 1) for w in malcev.lyndon_words(d)]}
 
 
 def _h_malcev_coords(args, cfg):
@@ -207,13 +232,13 @@ def _h_hodge_filtration(args, cfg):
 
 
 def _h_hodge_transversal(args, cfg):
-    n = hodge.NilpotentEndo(*_parse_triple(args.N, Fraction))
+    n = hodge.NilpotentEndo(*_parse_triple(args.N, _fraction))
     f = hodge.hodge_filtration_from(*_parse_triple(args.F))
     return {"transversal": hodge.griffiths_transversal(n, f)}
 
 
 def _h_hodge_orbit(args, cfg):
-    n = hodge.NilpotentEndo(*_parse_triple(args.N, Fraction))
+    n = hodge.NilpotentEndo(*_parse_triple(args.N, _fraction))
     f = hodge.hodge_filtration_from(*_parse_triple(args.F))
     result = hodge.generates_nilpotent_orbit(n, f)
     defect = result.criterion_defect
@@ -223,9 +248,11 @@ def _h_hodge_orbit(args, cfg):
 
 
 def _h_hodge_rmf(args, cfg):
-    mat = [[Fraction(x) for x in row] for row in _loads(args.matrix)]
-    wdata = {int(k): [[Fraction(x) for x in v] for v in vs]
-             for k, vs in _loads(args.weights).items()}
+    raw = _loads(args.matrix)
+    mat = _rational_rows(raw, "--matrix", len(raw) if isinstance(raw, list) else 0)
+    weights = _loads(args.weights)
+    expect(isinstance(weights, dict), "--weights maps integer weights to lists of vectors")
+    wdata = {int(k): _rational_rows(vs, f"weight {k}", len(mat)) for k, vs in weights.items()}
     w = hodge.WeightFiltrationGeneric.from_dict(wdata, len(mat))
     m = hodge.relative_monodromy_filtration(mat, w)
     if m is None:

@@ -49,6 +49,8 @@ def _floor_int(v) -> int:
     r = _re(v)
     if _is_exact(r):
         return math.floor(r)
+    if not math.isfinite(r):
+        raise DomainError(f"coordinates to reduce must be finite, got {v}")
     return math.floor(r + REDUCE_SNAP)
 
 
@@ -188,9 +190,6 @@ class NilpotentEndo:
     def matrix(self) -> list:
         z, a, b, c = Fraction(0), self.a, self.b, self.c
         return [[z, b, c], [z, z, a], [z, z, z]]
-
-    def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0 and self.c == 0
 
 
 def unipotent_matrix(a: int, b: int, c: int) -> np.ndarray:

@@ -41,8 +41,8 @@ from numpy.polynomial import chebyshev
 from .malcev import GroupWord
 from .paths import (DomainError, JUNCTION_RADIUS, LineSegment, Path, TangentialAnchor,
                     canonical_reach, loop_from_group_word, make_path)
-from .series import TruncatedSeries, exp_letter
-from .words import Word, check_word, word_index
+from .series import TruncatedSeries, check_level, exp_letter
+from .words import Word, check_word
 
 
 class ConvergenceError(RuntimeError):
@@ -62,56 +62,6 @@ class QuadratureConfig:
 
 
 DEFAULT_CONFIG = QuadratureConfig()
-
-MAX_FLOAT_LEVEL = 12  # 8191 words a state; the slowest level-12 reach takes about 1.3 s
-
-
-def _check_level(r: int) -> None:
-    if not 0 <= r <= MAX_FLOAT_LEVEL:
-        raise DomainError(f"level must be between 0 and {MAX_FLOAT_LEVEL}, got {r}")
-
-
-# --- word indexing ---------------------------------------------------------------
-# Words are stored in shortlex order, so the word of length k read as the
-# binary number b sits at index 2**k - 1 + b.
-
-def series_to_array(s: TruncatedSeries) -> np.ndarray:
-    index = word_index(s.level)
-    arr = np.zeros(len(index), dtype=complex)
-    for w, c in s.coeffs.items():
-        arr[index[w]] = c
-    return arr
-
-
-def array_to_series(level: int, arr: np.ndarray) -> TruncatedSeries:
-    return TruncatedSeries(level, dict(zip(word_index(level), arr)))
-
-
-@lru_cache(maxsize=None)
-def _concat_table(level: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gather indices of the concatenation product.
-
-    Row w holds, for each split w = u·v (u of length 0..|w|), the indices
-    of u and of v; rows of short words are padded with ``dim``, which
-    points at an appended zero.
-    """
-    dim = 2 ** (level + 1) - 1
-    left = np.full((dim, level + 1), dim)
-    right = np.full((dim, level + 1), dim)
-    for k in range(level + 1):
-        b = np.arange(2 ** k)
-        rows = 2 ** k - 1 + b
-        for j in range(k + 1):
-            left[rows, j] = 2 ** j - 1 + (b >> (k - j))
-            right[rows, j] = 2 ** (k - j) - 1 + (b & (2 ** (k - j) - 1))
-    return left, right
-
-
-def _concat_arrays(a: np.ndarray, b: np.ndarray, level: int) -> np.ndarray:
-    """Concatenation product of two word-indexed arrays, truncated at the level."""
-    left, right = _concat_table(level)
-    return (np.append(a, 0)[left] * np.append(b, 0)[right]).sum(axis=1)
-
 
 # --- transport route: adaptive spectral panels --------------------------------------
 
@@ -177,7 +127,7 @@ def transport(path: Path, level: int, cfg: QuadratureConfig = DEFAULT_CONFIG) ->
     half first; past _MAX_PANELS panel evaluations ConvergenceError is
     raised.
     """
-    _check_level(level)
+    check_level(level)
     y = np.zeros(2 ** (level + 1) - 1, dtype=complex)
     y[0] = 1.0
     if level == 0:
@@ -207,18 +157,11 @@ def transport(path: Path, level: int, cfg: QuadratureConfig = DEFAULT_CONFIG) ->
 
 def signature(path, r: int, cfg: QuadratureConfig = DEFAULT_CONFIG) -> TruncatedSeries:
     """Level-r path signature via the transport equation; interior anchors only."""
-    _check_level(r)
+    check_level(r)
     path = make_path(path)
     if not path.is_interior:
         raise DomainError("signature needs interior anchors; use the regularized variants")
-    return array_to_series(r, transport(path, r, cfg))
-
-
-def compose_signatures(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    """Concatenation product; matches the signature of concatenated paths."""
-    if a.level != b.level:
-        raise DomainError(f"level mismatch: {a.level} vs {b.level}")
-    return a.mul(b)
+    return TruncatedSeries(r, transport(path, r, cfg))
 
 
 # --- direct quadrature route ----------------------------------------------------
@@ -328,7 +271,7 @@ def series_terms(z, r: int):
     raises word length, so H_n is the finite Neumann series
     sum_k [., e0]^k (rhs) / n^(k+1).  Each term has e1-coefficient z^n/n.
     """
-    _check_level(r)
+    check_level(r)
     dim = 2 ** (r + 1) - 1
     partial = np.zeros(dim, dtype=complex)     # H_0 + ... + H_{n-1}
     partial[0] = 1.0
@@ -349,7 +292,7 @@ def holomorphic_part(z, r: int) -> np.ndarray:
     """H(z) as a word-indexed array, summed until a term falls below
     rounding relative to the sum: 16 or 17 terms at z = 1/8 on levels 1 to 8.
     ConvergenceError after _MAX_TERMS terms."""
-    _check_level(r)
+    check_level(r)
     total = np.zeros(2 ** (r + 1) - 1, dtype=complex)
     total[0] = 1.0
     for term in itertools.islice(series_terms(z, r), _MAX_TERMS):
@@ -361,17 +304,14 @@ def holomorphic_part(z, r: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _junction_part(r: int) -> np.ndarray:
-    h = holomorphic_part(JUNCTION_RADIUS, r)
-    h.flags.writeable = False
-    return h
+def _junction_part(r: int) -> TruncatedSeries:
+    return TruncatedSeries(r, holomorphic_part(JUNCTION_RADIUS, r))
 
 
-def _base_constant(r: int) -> np.ndarray:
+def _base_constant(r: int) -> TruncatedSeries:
     """S(1/8) = exp(log(1/8)·e0)·H(1/8): the signature from the tangential
     base point to the junction point, where every reach and loop starts."""
-    orbit = series_to_array(exp_letter(math.log(JUNCTION_RADIUS), "0", r))
-    return _concat_arrays(orbit, _junction_part(r), r)
+    return exp_letter(math.log(JUNCTION_RADIUS), "0", r).mul(_junction_part(r))
 
 
 def regularized_signature(x, r: int = 2, cfg: QuadratureConfig = DEFAULT_CONFIG,
@@ -389,12 +329,11 @@ def regularized_signature(x, r: int = 2, cfg: QuadratureConfig = DEFAULT_CONFIG,
     x = complex(x)
     if x in (0, 1):
         raise DomainError("x must avoid the punctures")
-    _check_level(r)
+    check_level(r)
     path = canonical_reach(x)
     loop = loop_from_group_word(loop_prefix) if loop_prefix else None
-    if loop is not None:
-        path = loop.concat(path)
-    return array_to_series(r, _concat_arrays(_base_constant(r), transport(path, r, cfg), r))
+    path = path if loop is None else loop.concat(path)
+    return _base_constant(r).mul(TruncatedSeries(r, transport(path, r, cfg)))
 
 
 def regularized_loop_transport(loop, r: int = 2,
@@ -407,7 +346,7 @@ def regularized_loop_transport(loop, r: int = 2,
     the reach from 1/8 when the loop starts elsewhere) the result is
     C·S_loop·C^-1.
     """
-    _check_level(r)
+    check_level(r)
     if isinstance(loop, (str, GroupWord)):
         loop_path = loop_from_group_word(loop)
         if loop_path is None:
@@ -421,10 +360,8 @@ def regularized_loop_transport(loop, r: int = 2,
         raise DomainError("loop must be based on the positive real axis")
     conj = _base_constant(r)
     if abs(base - JUNCTION_RADIUS) > 1e-12:
-        conj = _concat_arrays(conj, transport(canonical_reach(base), r, cfg), r)
-    conj_inv = series_to_array(array_to_series(r, conj).inverse())
-    return array_to_series(
-        r, _concat_arrays(_concat_arrays(conj, transport(loop_path, r, cfg), r), conj_inv, r))
+        conj = conj.mul(TruncatedSeries(r, transport(canonical_reach(base), r, cfg)))
+    return conj.mul(TruncatedSeries(r, transport(loop_path, r, cfg))).mul(conj.inverse())
 
 
 def tangential_iterated_integral(word: Word, x, cfg: QuadratureConfig = DEFAULT_CONFIG) -> complex:

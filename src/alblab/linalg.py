@@ -159,10 +159,6 @@ def image(mat, vectors=None):
     return span_basis([matvec(mat, v) for v in vectors])
 
 
-def kernel_of_power(mat, k):
-    return nullspace(mat_power(mat, k))
-
-
 def intersect(a, b):
     """Basis of span(a) ∩ span(b)."""
     if not a or not b:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
@@ -33,6 +34,16 @@ _CHAIN_TOL = 1e-12
 
 class DomainError(ValueError):
     """Invalid geometric or algebraic input (maps to CLI exit code 1)."""
+
+
+class BadJson(ValueError):
+    """JSON input that is malformed or has the wrong shape (CLI exit code 65)."""
+
+
+def expect(shape_ok: bool, message: str) -> None:
+    """BadJson(message) unless the JSON input has the shape it should."""
+    if not shape_ok:
+        raise BadJson(message)
 
 
 def _log_ratio(num: complex, den: complex) -> complex:
@@ -366,14 +377,17 @@ class Path:
         return Path(segs, self.start_anchor, self.end_anchor)
 
 
-def _as_complex(value) -> complex:
-    if isinstance(value, (list, tuple)):
-        if len(value) != 2:
-            raise DomainError(f"expected [re, im], got {value!r}")
-        return complex(float(value[0]), float(value[1]))
+def as_complex(value) -> complex:
+    """A number, an [re, im] pair of reals or an 're+imi' string."""
     if isinstance(value, str):
         return parse_complex(value)
-    return complex(value)
+    pair = isinstance(value, (list, tuple))
+    expect(len(value) == 2 and all(isinstance(v, numbers.Real) for v in value) if pair
+           else isinstance(value, numbers.Number), f"expected a number or [re, im], got {value!r}")
+    try:
+        return complex(*value) if pair else complex(value)
+    except OverflowError as exc:
+        raise DomainError(f"{value!r} exceeds the float range") from exc
 
 
 def parse_complex(text: str) -> complex:
@@ -384,7 +398,7 @@ def parse_complex(text: str) -> complex:
         try:
             re_part, im_part = json.loads(s)
             return complex(float(re_part), float(im_part))
-        except (ValueError, TypeError) as exc:
+        except (ValueError, TypeError, OverflowError, RecursionError) as exc:
             raise DomainError(f"cannot parse complex number {text!r}") from exc
     try:
         return complex(s.replace("i", "j"))
@@ -420,11 +434,11 @@ def make_path(spec) -> Path:
     """
     if isinstance(spec, Path):
         return spec
-    if not isinstance(spec, dict):
-        raise DomainError("path spec must be a JSON object")
+    expect(isinstance(spec, dict), "path spec must be a JSON object")
 
     if "compose" in spec:
-        if not isinstance(spec["compose"], list) or not spec["compose"]:
+        expect(isinstance(spec["compose"], list), "compose needs a list of path specs")
+        if not spec["compose"]:
             raise DomainError("compose needs a non-empty list of path specs")
         parts = [make_path(s) for s in spec["compose"]]
         path = parts[0]
@@ -433,7 +447,9 @@ def make_path(spec) -> Path:
         return path
 
     if "loop" in spec:
-        turns = int(spec.get("turns", 1))
+        turns = spec.get("turns", 1)
+        expect(isinstance(turns, int) and abs(turns) <= 2 ** 53,
+               f"turns must be an integer of size at most 2**53, got {turns!r}")
         name = spec["loop"]
         if name == "gamma0":
             return loop_gamma0(turns)
@@ -443,7 +459,9 @@ def make_path(spec) -> Path:
 
     start_anchor = _parse_anchor(spec.get("tangential_start"))
     end_anchor = _parse_anchor(spec.get("tangential_end"))
-    waypoints = [_as_complex(w) for w in spec.get("waypoints", [])]
+    waypoints = spec.get("waypoints", [])
+    expect(isinstance(waypoints, list), "waypoints must be a list")
+    waypoints = [as_complex(w) for w in waypoints]
 
     points: list[complex] = []
     if start_anchor is not None:
@@ -463,7 +481,9 @@ def make_path(spec) -> Path:
 def _parse_anchor(data) -> TangentialAnchor | None:
     if data is None:
         return None
-    return TangentialAnchor(int(data["at"]), _as_complex(data.get("vector", [1, 0])))
+    expect(isinstance(data, dict) and isinstance(data.get("at"), int),
+           'a tangential anchor is {"at": 0|1, "vector": [re, im]}')
+    return TangentialAnchor(data["at"], as_complex(data.get("vector", [1, 0])))
 
 
 def canonical_reach(x: complex, junction: float = JUNCTION_RADIUS,

@@ -3,7 +3,8 @@
 bench/inputs.py and bench/worker.py are loaded by path and only read.  For
 every workload this builds every seed-0 operation, resolves every function
 the tracer wraps, and runs the worker's warm-up; the in-process workloads
-also run each operation once.  A rename or removal of anything the
+also run each operation once, and one traced round must call every traced
+function whose home is that workload.  A rename or removal of anything the
 benchmark calls then fails here instead of in a benchmark run.
 """
 
@@ -55,3 +56,17 @@ def test_operations_build_and_warm_up(bench, workload):
         if workload != "cli":   # a cli round starts the selftest
             render(call())
     worker.warm_up(m, workload)
+
+
+@pytest.mark.parametrize("workload", ("albanese", "deep_series", "exact"))
+def test_traced_round_reaches_every_home_metric(bench, workload):
+    # a refactor that stops calling a traced function would leave its
+    # metric unmeasured, and a traced bench run would then fail
+    inputs, worker, m = bench
+    ops = [worker.build(m, op) for op in inputs.generate(workload, 0)]
+    tracer = worker.Tracer(m)
+    stats = tracer.new_stats()
+    worker.run_round(ops, tracer, stats)
+    home = [key for key, spec in worker.LAYER_FUNCS.items() if spec[3] == workload]
+    assert home
+    assert [key for key in home if not stats["fn"][key][0]] == []

@@ -8,9 +8,14 @@ import sys
 import time
 from pathlib import Path
 
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
 import alblab
 from alblab.cli import (COMMAND_TABLE, EXIT_BADJSON, EXIT_DOMAIN, EXIT_NUMERIC,
                         EXIT_OK, EXIT_USAGE, run_command)
+from alblab.malcev import MAX_WORD_LETTERS
 
 
 def run(capsys, argv):
@@ -137,6 +142,96 @@ class TestExitCodes:
             assert time.perf_counter() - start < 1
             assert code == EXIT_DOMAIN
             assert "between" in out["error"]
+
+    def test_group_word_cap(self, capsys):
+        # powers used to expand letter by letter: 0^3000 ran past 30 s
+        at_cap = f"0^{MAX_WORD_LETTERS}"
+        code, _ = run(capsys, ["alb", "monodromy", "--word", at_cap])
+        assert code == EXIT_OK
+        for argv in (["alb", "map", "--x", "0.5", "--loop-prefix", "0^3000"],
+                     ["alb", "map", "--x", "0.5", "--loop-prefix", f"{at_cap} 1"],
+                     ["alb", "monodromy", "--word", "1^-1000000000000"],
+                     ["malcev", "coords", "--word", "0^1000000", "--level", "2"]):
+            start = time.perf_counter()
+            code, out = run(capsys, argv)
+            assert time.perf_counter() - start < 1
+            assert code == EXIT_DOMAIN
+            assert "at most" in out["error"]
+
+    @pytest.mark.parametrize("argv", (
+        ["ii", "compose", "--a", '{"level":2,"coefficients":{"0":5}}', "--b", '{"level":2,"coefficients":{}}'],
+        ["ii", "compose", "--a", '{"coefficients":{}}', "--b", '{"level":2,"coefficients":{}}'],
+        ["ii", "compose", "--a", "[1]", "--b", '{"level":2,"coefficients":{}}'],
+        ["malcev", "exp", "--series", "[1]", "--level", "2"],
+        ["malcev", "exp", "--series", '{"coefficients":{"0":1}}'],
+        ["words", "shuffle", "--a", "5", "--b", '"0"'],
+        ["hodge", "rmf", "--matrix", "[[1]]", "--weights", '{"0":5}'],
+        ["ii", "eval", "--word", "1", "--path", '{"waypoints":5}'],
+    ), ids=lambda argv: " ".join(argv[:2]))
+    def test_wrong_shape_is_bad_json(self, capsys, argv):
+        # each of these used to end in a traceback
+        code, out = run(capsys, argv)
+        assert code == EXIT_BADJSON
+        assert set(out) == {"error"}
+
+    def test_compose_level_cap(self, capsys):
+        big = '{"level":13,"coefficients":{"":[1,0]}}'
+        code, out = run(capsys, ["ii", "compose", "--a", big, "--b", big])
+        assert code == EXIT_DOMAIN
+        assert "level must be between" in out["error"]
+
+
+# Values for every flag: malformed JSON of each shape the decoders read,
+# numbers past every cap, and a few valid ones so that handlers run too.
+_POOL = (
+    "", "0", "1", "-1", "2", "0.5", "0.3+0.2i", "1/0", "1e400", "-1e400", "nan", "inf", "abc",
+    "13", "30", "1000000000", "10000000000000000000000",
+    "[1]", "[[1]]", '[["a"]]', "[[1,2],[3]]", "{}", "5", '"0"', '"01"', "null", "true", "{oops",
+    '{"coefficients":{}}', '{"level":2,"coefficients":{"0":5}}',
+    '{"level":2,"coefficients":{"0":[1]}}', '{"level":2,"coefficients":{"0":["a",1]}}',
+    '{"level":2,"coefficients":{"01":[1e400,0]}}', '{"level":2.5,"coefficients":{}}',
+    '{"level":1000000000,"coefficients":{}}', '{"level":2,"coefficients":{"":[1,0],"0":[1,0]}}',
+    '{"level":2,"coefficients":{"0":"1/0"}}', '{"level":2,"coefficients":{"0":[1]}}',
+    '{"0":5}', '{"0":[1,2]}', '{"0":"1/0"}', '{"0":"1e999"}', '{"0":"1","1":"1"}', '{"2":"1"}',
+    '{"waypoints":5}', '{"waypoints":[{}]}', '{"waypoints":[[0.25,0],[0.5,0]]}',
+    '{"waypoints":["x",0.5]}', '{"waypoints":[1e400,0.5]}',
+    '{"loop":"gamma0","turns":"x"}', '{"loop":"gamma0","turns":1e300}',
+    '{"loop":"gamma0","turns":[1]}', '{"loop":5}', '{"loop":"gamma1"}',
+    '{"compose":[5]}', '{"compose":{}}', '{"tangential_start":5,"waypoints":[0.5]}',
+    '{"tangential_start":{"at":null},"waypoints":[0.5]}',
+    '{"tangential_start":{"at":0,"vector":"x"},"waypoints":[0.5]}',
+    '{"-4":[[1]]}', '{"x":[[1]]}', '{"0":[["1"]]}', '{"0":[[1,2]]}',
+    '{"degree":5}', '{"degree":{"0":"x"}}', '{"d":{"0":5}}', '{"wedge":{"0,1":{"a":"1"}}}',
+    "0^1000000", "0 1^-1", "0^-1 1", "2^3", "1,1", "1,1,1", "1,2,x", "1/0,0,0", "0,0,0",
+    "1e308", "1+1e-310j",
+)
+# the selftest has only its --level choice, and left out it runs for seconds
+_COMMANDS = sorted((sub, flags) for sub, _h, flags in COMMAND_TABLE.values() if sub != "selftest")
+_ALLOWED_EXITS = {EXIT_OK, EXIT_DOMAIN, EXIT_NUMERIC, EXIT_USAGE, EXIT_BADJSON}
+
+
+@st.composite
+def _argv(draw):
+    sub, flags = draw(st.sampled_from(_COMMANDS))
+    argv = sub.split()
+    for flag, _kwargs in flags + [("--abs-tol", {})]:
+        if draw(st.booleans()):
+            argv += [f"{flag}={draw(st.sampled_from(_POOL))}"]
+    return argv
+
+
+class TestInputContract:
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(argv=_argv())
+    def test_one_json_object_and_a_known_exit(self, capsys, argv):
+        start = time.perf_counter()
+        code = run_command(argv)
+        elapsed = time.perf_counter() - start
+        lines = capsys.readouterr().out.splitlines()
+        assert code in _ALLOWED_EXITS
+        assert len(lines) == 1 and isinstance(json.loads(lines[0]), dict)
+        assert elapsed < 5, f"{argv} took {elapsed:.1f} s"
 
 
 class TestDeterminism:

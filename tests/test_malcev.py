@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from alblab.malcev import (MAX_EXACT_LEVEL, ExactSeries, GroupWord, bch, bracket_expansion,
-                           classify_coproduct, exp_trunc, group_log, hall_basis,
+                           classify_coproduct, exp_trunc, group_log,
                            hall_coordinates, hall_dims, is_grouplike, is_primitive,
                            log_trunc, lyndon_words, malcev_coordinates,
                            primitive_space_dimension)
@@ -369,5 +369,3 @@ class TestSizeCaps:
     def test_hall_r(self):
         with pytest.raises(ValueError, match="between 1 and"):
             hall_dims(MAX_R + 1)
-        with pytest.raises(ValueError, match="between 1 and"):
-            hall_basis(MAX_R + 1)
