@@ -7,7 +7,3 @@ Albanese map connecting the two sides.
 """
 
 __version__ = "0.1.0"
-
-from .words import ShuffleElement, SymbolicFormTable, bar_differential, deconcat_coproduct, shuffle_product, word_basis  # noqa: F401
-from .series import TruncatedSeries  # noqa: F401
-from .malcev import ExactSeries, GroupWord, bch, classify_coproduct, exp_trunc, hall_dims, log_trunc, malcev_coordinates  # noqa: F401

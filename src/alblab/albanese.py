@@ -18,10 +18,10 @@ from importlib import resources
 
 import numpy as np
 
-from .hodge import TWO_PI_I, ChartClass, boundary_chart_point, reduce_mod_integral
+from .errors import DomainError
+from .hodge import TWO_PI_I, reduce_mod_integral
 from .integrals import (ConvergenceError, DEFAULT_CONFIG, QuadratureConfig,
                         regularized_loop_transport, regularized_signature)
-from .paths import DomainError
 from .series import TruncatedSeries
 
 EXTENSION_DISK_RADIUS = 0.5
@@ -107,12 +107,6 @@ def extended_albanese(x, cfg: QuadratureConfig = DEFAULT_CONFIG) -> tuple:
         raise DomainError(f"extension chart needs |x| < {EXTENSION_DISK_RADIUS}")
     _, beta, lam = raw_coordinates(x, cfg)
     return (x, beta, lam)
-
-
-def extended_albanese_class(x, cfg: QuadratureConfig = DEFAULT_CONFIG) -> ChartClass:
-    """Image of x as a chart class (interior class, or the orbit at x = 0)."""
-    q, beta, lam = extended_albanese(x, cfg)
-    return boundary_chart_point(q, beta, lam)
 
 
 def monodromy_action(loop, cfg: QuadratureConfig = DEFAULT_CONFIG,

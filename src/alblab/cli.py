@@ -11,16 +11,14 @@ malformed JSON.
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import os
 import re
 import sys
 from fractions import Fraction
 
-from . import acceptance, albanese, hodge, integrals, malcev, words
-from .integrals import ConvergenceError, QuadratureConfig
-from .paths import BadJson, DomainError, expect, make_path, parse_complex
-from .series import TruncatedSeries
+from .errors import BadJson, ConvergenceError, DomainError, QuadratureConfig, expect, parse_complex
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -83,7 +81,7 @@ def _rational_map(data, what: str) -> dict:
     return {k: _fraction(v) for k, v in data.items()}
 
 
-def _series_arg(text: str, level: int | None) -> malcev.ExactSeries:
+def _series_arg(malcev, text: str, level: int | None):
     """{"level": r, "coefficients": {word: rational}}, or the bare map with --level."""
     data = _loads(text)
     if isinstance(data, dict) and "coefficients" in data:
@@ -94,11 +92,17 @@ def _series_arg(text: str, level: int | None) -> malcev.ExactSeries:
     return malcev.ExactSeries(level, _rational_map(data, "series coefficients"))
 
 
-def _shuffle_arg(text: str) -> words.ShuffleElement:
+def _shuffle_arg(words, text: str):
     data = _loads(text)
     if isinstance(data, str):
         return words.ShuffleElement.from_word(data)
     return words.ShuffleElement(_rational_map(data, "a shuffle element"))
+
+
+def _path_arg(text: str):
+    """A validated path from its JSON spec (the handler's float module has loaded paths)."""
+    from .paths import make_path
+    return make_path(_loads(text))
 
 
 def _rational_rows(data, what: str, width: int) -> list:
@@ -107,7 +111,7 @@ def _rational_rows(data, what: str, width: int) -> list:
     return [[_fraction(x) for x in row] for row in data]
 
 
-def _form_table_arg(text: str) -> words.SymbolicFormTable:
+def _form_table_arg(words, text: str):
     """{"degree": {letter: int}, "d": {letter: {symbol: rational}},
     "wedge": {"a,b": {symbol: rational}}}, every key optional."""
     raw = _loads(text)
@@ -128,22 +132,22 @@ def _form_table_arg(text: str) -> words.SymbolicFormTable:
 
 # --- handlers --------------------------------------------------------------------
 
-def _h_words_basis(args, cfg):
+def _h_words_basis(words, args, cfg):
     basis = words.word_basis(args.r)
     return {"r": args.r, "count": len(basis), "words": basis}
 
 
-def _h_words_shuffle(args, cfg):
-    out = words.shuffle_product(_shuffle_arg(args.a), _shuffle_arg(args.b))
+def _h_words_shuffle(words, args, cfg):
+    out = words.shuffle_product(_shuffle_arg(words, args.a), _shuffle_arg(words, args.b))
     return {"product": out.to_json()}
 
 
-def _h_words_deconcat(args, cfg):
+def _h_words_deconcat(words, args, cfg):
     return {"splittings": [[u, v] for u, v in words.deconcat_coproduct(args.word)]}
 
 
-def _h_words_dbar(args, cfg):
-    table = _form_table_arg(args.table) if args.table else words.SymbolicFormTable.default()
+def _h_words_dbar(words, args, cfg):
+    table = _form_table_arg(words, args.table) if args.table else words.SymbolicFormTable.default()
     word = tuple(args.word.split()) if " " in args.word else args.word
     missing = sorted(set(word) - table.degree.keys())
     if missing:
@@ -153,66 +157,64 @@ def _h_words_dbar(args, cfg):
                       for k, c in sorted(terms.items())]}
 
 
-def _h_ii_path(args, cfg):
-    path = make_path(_loads(args.spec))
+def _h_ii_path(paths, args, cfg):
+    path = paths.make_path(_loads(args.spec))
     return {"segments": len(path.segments), "start": _cjson(path.start),
             "end": _cjson(path.end), "interior": path.is_interior}
 
 
-def _h_ii_eval(args, cfg):
-    path = make_path(_loads(args.path))
-    value, err = integrals.iterated_integral(args.word, path, cfg,
-                                             with_error=True)
+def _h_ii_eval(integrals, args, cfg):
+    path = _path_arg(args.path)
+    value, err = integrals.iterated_integral(args.word, path, cfg, with_error=True)
     return {"word": args.word, "value": _cjson(value), "abs_err_est": err}
 
 
-def _h_ii_signature(args, cfg):
-    path = make_path(_loads(args.path))
+def _h_ii_signature(integrals, args, cfg):
+    path = _path_arg(args.path)
     return integrals.signature(path, args.level, cfg).to_json()
 
 
-def _h_ii_compose(args, cfg):
-    a, b = (TruncatedSeries.from_json(_loads(text)) for text in (args.a, args.b))
+def _h_ii_compose(series, args, cfg):
+    a, b = (series.TruncatedSeries.from_json(_loads(text)) for text in (args.a, args.b))
     return a.mul(b).to_json()
 
 
-def _h_ii_regularized(args, cfg):
+def _h_ii_regularized(integrals, args, cfg):
     return integrals.regularized_signature(parse_complex(args.x), args.level, cfg,
                                            loop_prefix=args.loop_prefix).to_json()
 
 
-def _h_ii_monodromy(args, cfg):
+def _h_ii_monodromy(albanese, args, cfg):
     if not args.loop_word and not args.loop:
         raise UsageError("ii monodromy needs --loop-word or --loop")
-    loop = args.loop_word if args.loop_word else make_path(_loads(args.loop))
+    loop = args.loop_word if args.loop_word else _path_arg(args.loop)
     return {"matrix": albanese.monodromy_action(loop, cfg).tolist()}
 
 
-def _h_malcev_exp(args, cfg):
-    return {"series": malcev.exp_trunc(_series_arg(args.series, args.level)).to_json()}
+def _h_malcev_exp(malcev, args, cfg):
+    return {"series": malcev.exp_trunc(_series_arg(malcev, args.series, args.level)).to_json()}
 
 
-def _h_malcev_log(args, cfg):
-    return {"series": malcev.log_trunc(_series_arg(args.series, args.level)).to_json()}
+def _h_malcev_log(malcev, args, cfg):
+    return {"series": malcev.log_trunc(_series_arg(malcev, args.series, args.level)).to_json()}
 
 
-def _h_malcev_classify(args, cfg):
-    return {"class": malcev.classify_coproduct(_series_arg(args.series, args.level))}
+def _h_malcev_classify(malcev, args, cfg):
+    return {"class": malcev.classify_coproduct(_series_arg(malcev, args.series, args.level))}
 
 
-def _h_malcev_bch(args, cfg):
-    a = _series_arg(args.a, args.level)
-    b = _series_arg(args.b, args.level)
+def _h_malcev_bch(malcev, args, cfg):
+    a, b = (_series_arg(malcev, text, args.level) for text in (args.a, args.b))
     return {"series": malcev.bch(a, b).to_json()}
 
 
-def _h_malcev_hall_dims(args, cfg):
+def _h_malcev_hall_dims(malcev, args, cfg):
     dims = malcev.hall_dims(args.r)
     return {"dims": dims, "total": sum(dims),
             "representatives": [w for d in range(1, args.r + 1) for w in malcev.lyndon_words(d)]}
 
 
-def _h_malcev_coords(args, cfg):
+def _h_malcev_coords(malcev, args, cfg):
     coords = malcev.malcev_coordinates(args.word, args.level)
     return {"level": args.level, "coordinates": {w: str(c) for w, c in sorted(coords.items())}}
 
@@ -223,7 +225,7 @@ def _fmt_number(v):
     return _cjson(v)
 
 
-def _h_hodge_filtration(args, cfg):
+def _h_hodge_filtration(hodge, args, cfg):
     alpha, beta, lam = _parse_triple(args.F)
     f = hodge.hodge_filtration_from(alpha, beta, lam)
     return {"coordinates": [_fmt_number(x) for x in f.coordinates()],
@@ -231,13 +233,13 @@ def _h_hodge_filtration(args, cfg):
             "Fm1": [[_fmt_number(x) for x in v] for v in f.generators(-1)]}
 
 
-def _h_hodge_transversal(args, cfg):
+def _h_hodge_transversal(hodge, args, cfg):
     n = hodge.NilpotentEndo(*_parse_triple(args.N, _fraction))
     f = hodge.hodge_filtration_from(*_parse_triple(args.F))
     return {"transversal": hodge.griffiths_transversal(n, f)}
 
 
-def _h_hodge_orbit(args, cfg):
+def _h_hodge_orbit(hodge, args, cfg):
     n = hodge.NilpotentEndo(*_parse_triple(args.N, _fraction))
     f = hodge.hodge_filtration_from(*_parse_triple(args.F))
     result = hodge.generates_nilpotent_orbit(n, f)
@@ -247,7 +249,7 @@ def _h_hodge_orbit(args, cfg):
             "admissible": result.admissible, "reason": result.reason}
 
 
-def _h_hodge_rmf(args, cfg):
+def _h_hodge_rmf(hodge, args, cfg):
     raw = _loads(args.matrix)
     mat = _rational_rows(raw, "--matrix", len(raw) if isinstance(raw, list) else 0)
     weights = _loads(args.weights)
@@ -260,7 +262,7 @@ def _h_hodge_rmf(args, cfg):
     return {"exists": True, "filtration": m.to_json()}
 
 
-def _h_hodge_chart(args, cfg):
+def _h_hodge_chart(hodge, args, cfg):
     cc = hodge.boundary_chart_point(parse_complex(args.q), parse_complex(args.beta),
                                     parse_complex(getattr(args, "lambda")))
     if cc.kind == "orbit":
@@ -271,37 +273,35 @@ def _h_hodge_chart(args, cfg):
             "reduction": list(cc.reduction)}
 
 
-def _h_hodge_reduce(args, cfg):
+def _h_hodge_reduce(hodge, args, cfg):
     alpha, beta, lam = _parse_triple(args.coords)
     reduced, g = hodge.reduce_mod_integral(alpha, beta, lam)
     return {"reduced": [_fmt_number(x) for x in reduced],
             "matrix": [[int(x) for x in row] for row in g]}
 
 
-def _h_alb_map(args, cfg):
-    p = albanese.albanese_point(parse_complex(args.x), args.loop_prefix, cfg)
-    return p.to_json()
+def _h_alb_map(albanese, args, cfg):
+    return albanese.albanese_point(parse_complex(args.x), args.loop_prefix, cfg).to_json()
 
 
-def _h_alb_map_alt(args, cfg):
-    p = albanese.albanese_point_alt(parse_complex(args.x), args.loop_prefix, cfg)
-    return p.to_json()
+def _h_alb_map_alt(albanese, args, cfg):
+    return albanese.albanese_point_alt(parse_complex(args.x), args.loop_prefix, cfg).to_json()
 
 
-def _h_alb_extend(args, cfg):
+def _h_alb_extend(albanese, args, cfg):
     q, beta, lam = albanese.extended_albanese(parse_complex(args.x), cfg)
     return {"q": _cjson(q), "beta": _cjson(beta), "lambda": _cjson(lam)}
 
 
-def _h_alb_monodromy(args, cfg):
+def _h_alb_monodromy(albanese, args, cfg):
     return {"matrix": albanese.monodromy_action(args.word, cfg).tolist()}
 
 
-def _h_alb_mhs_check(args, cfg):
+def _h_alb_mhs_check(albanese, args, cfg):
     return albanese.lie_action_is_mhs_morphism()
 
 
-def _h_selftest(args, cfg):
+def _h_selftest(acceptance, args, cfg):
     results = acceptance.run_acceptance(args.level, cfg)
     for r in results:
         print(r.line(), file=sys.stderr)
@@ -312,82 +312,77 @@ def _h_selftest(args, cfg):
 
 
 # --- command table ---------------------------------------------------------------
-# operation name -> (subcommand path, handler, [(flag, kwargs), ...])
+# operation name -> (subcommand path, handler, module, [(flag, kwargs), ...]);
+# the module is imported when the subcommand runs and handed to the handler,
+# so a call loads only what it uses (the exact commands never load numpy)
 
 COMMAND_TABLE = {
-    "word_basis": ("words basis", _h_words_basis, [("--r", dict(type=int, required=True))]),
-    "shuffle_product": ("words shuffle", _h_words_shuffle,
+    "word_basis": ("words basis", _h_words_basis, "words", [("--r", dict(type=int, required=True))]),
+    "shuffle_product": ("words shuffle", _h_words_shuffle, "words",
                         [("--a", dict(required=True)), ("--b", dict(required=True))]),
-    "deconcat_coproduct": ("words deconcat", _h_words_deconcat,
+    "deconcat_coproduct": ("words deconcat", _h_words_deconcat, "words",
                            [("--word", dict(required=True))]),
-    "bar_differential": ("words dbar", _h_words_dbar,
+    "bar_differential": ("words dbar", _h_words_dbar, "words",
                          [("--word", dict(required=True)), ("--table", dict(default=""))]),
-    "make_path": ("ii path", _h_ii_path, [("--spec", dict(required=True))]),
-    "iterated_integral": ("ii eval", _h_ii_eval,
+    "make_path": ("ii path", _h_ii_path, "paths", [("--spec", dict(required=True))]),
+    "iterated_integral": ("ii eval", _h_ii_eval, "integrals",
                           [("--word", dict(required=True)), ("--path", dict(required=True))]),
-    "signature": ("ii signature", _h_ii_signature,
+    "signature": ("ii signature", _h_ii_signature, "integrals",
                   [("--path", dict(required=True)), ("--level", dict(type=int, default=2))]),
-    "compose_signatures": ("ii compose", _h_ii_compose,
+    "compose_signatures": ("ii compose", _h_ii_compose, "series",
                            [("--a", dict(required=True)), ("--b", dict(required=True))]),
-    "regularized_signature": ("ii regularized", _h_ii_regularized,
+    "regularized_signature": ("ii regularized", _h_ii_regularized, "integrals",
                               [("--x", dict(required=True)),
                                ("--level", dict(type=int, default=2)),
                                ("--loop-prefix", dict(default="", dest="loop_prefix"))]),
-    "monodromy_matrix": ("ii monodromy", _h_ii_monodromy,
+    "monodromy_matrix": ("ii monodromy", _h_ii_monodromy, "albanese",
                          [("--loop", dict(default="")),
                           ("--loop-word", dict(default="", dest="loop_word"))]),
-    "exp_trunc": ("malcev exp", _h_malcev_exp,
+    "exp_trunc": ("malcev exp", _h_malcev_exp, "malcev",
                   [("--series", dict(required=True)), ("--level", dict(type=int, default=None))]),
-    "log_trunc": ("malcev log", _h_malcev_log,
+    "log_trunc": ("malcev log", _h_malcev_log, "malcev",
                   [("--series", dict(required=True)), ("--level", dict(type=int, default=None))]),
-    "classify_coproduct": ("malcev classify", _h_malcev_classify,
+    "classify_coproduct": ("malcev classify", _h_malcev_classify, "malcev",
                            [("--series", dict(required=True)),
                             ("--level", dict(type=int, default=None))]),
-    "bch": ("malcev bch", _h_malcev_bch,
+    "bch": ("malcev bch", _h_malcev_bch, "malcev",
             [("--level", dict(type=int, default=None)), ("--a", dict(required=True)),
              ("--b", dict(required=True))]),
-    "hall_dims": ("malcev hall-dims", _h_malcev_hall_dims,
+    "hall_dims": ("malcev hall-dims", _h_malcev_hall_dims, "malcev",
                   [("--r", dict(type=int, required=True))]),
-    "malcev_coordinates": ("malcev coords", _h_malcev_coords,
+    "malcev_coordinates": ("malcev coords", _h_malcev_coords, "malcev",
                            [("--word", dict(required=True)),
                             ("--level", dict(type=int, default=2))]),
-    "hodge_filtration_from": ("hodge filtration", _h_hodge_filtration,
+    "hodge_filtration_from": ("hodge filtration", _h_hodge_filtration, "hodge",
                               [("--F", dict(required=True))]),
-    "griffiths_transversal": ("hodge transversal", _h_hodge_transversal,
+    "griffiths_transversal": ("hodge transversal", _h_hodge_transversal, "hodge",
                               [("--N", dict(required=True)), ("--F", dict(required=True))]),
-    "generates_nilpotent_orbit": ("hodge orbit", _h_hodge_orbit,
+    "generates_nilpotent_orbit": ("hodge orbit", _h_hodge_orbit, "hodge",
                                   [("--N", dict(required=True)), ("--F", dict(required=True))]),
-    "relative_monodromy_filtration": ("hodge rmf", _h_hodge_rmf,
+    "relative_monodromy_filtration": ("hodge rmf", _h_hodge_rmf, "hodge",
                                       [("--matrix", dict(required=True)),
                                        ("--weights", dict(required=True))]),
-    "boundary_chart_point": ("hodge chart", _h_hodge_chart,
+    "boundary_chart_point": ("hodge chart", _h_hodge_chart, "hodge",
                              [("--q", dict(required=True)), ("--beta", dict(required=True)),
                               ("--lambda", dict(required=True))]),
-    "reduce_mod_integral": ("hodge reduce", _h_hodge_reduce,
+    "reduce_mod_integral": ("hodge reduce", _h_hodge_reduce, "hodge",
                             [("--coords", dict(required=True))]),
-    "albanese_point": ("alb map", _h_alb_map,
+    "albanese_point": ("alb map", _h_alb_map, "albanese",
                        [("--x", dict(required=True)),
                         ("--loop-prefix", dict(default="", dest="loop_prefix"))]),
-    "albanese_point_alt": ("alb map-alt", _h_alb_map_alt,
+    "albanese_point_alt": ("alb map-alt", _h_alb_map_alt, "albanese",
                            [("--x", dict(required=True)),
                             ("--loop-prefix", dict(default="", dest="loop_prefix"))]),
-    "extended_albanese": ("alb extend", _h_alb_extend, [("--x", dict(required=True))]),
-    "monodromy_action": ("alb monodromy", _h_alb_monodromy,
+    "extended_albanese": ("alb extend", _h_alb_extend, "albanese", [("--x", dict(required=True))]),
+    "monodromy_action": ("alb monodromy", _h_alb_monodromy, "albanese",
                          [("--word", dict(required=True))]),
-    "lie_action_is_mhs_morphism": ("alb mhs-check", _h_alb_mhs_check, []),
-    "selftest": ("selftest", _h_selftest,
+    "lie_action_is_mhs_morphism": ("alb mhs-check", _h_alb_mhs_check, "albanese", []),
+    "selftest": ("selftest", _h_selftest, "acceptance",
                  [("--level", dict(default="quick", choices=["quick", "full"]))]),
 }
 
 
-def _dispatch_map():
-    table = {}
-    for op, (subcmd, handler, flags) in COMMAND_TABLE.items():
-        table[tuple(subcmd.split())] = (op, handler, flags)
-    return table
-
-
-_DISPATCH = _dispatch_map()
+_DISPATCH = {tuple(row[0].split()): row for row in COMMAND_TABLE.values()}
 
 _GLOBAL_FLAGS = [("--abs-tol", dict(type=float, default=None, dest="abs_tol"))]
 
@@ -429,21 +424,19 @@ def _run(argv):
         raise UsageError("no subcommand; see README for the command table")
     if argv[0] == "--json-in":
         return _run_batch(argv)
-    key = None
-    rest = None
     if tuple(argv[:2]) in _DISPATCH:
         key, rest = tuple(argv[:2]), argv[2:]
     elif tuple(argv[:1]) in _DISPATCH:
         key, rest = tuple(argv[:1]), argv[1:]
     else:
         raise UsageError(f"unknown subcommand: {' '.join(argv[:2]) or '(none)'}")
-    op, handler, flags = _DISPATCH[key]
+    _subcmd, handler, module, flags = _DISPATCH[key]
     parser = _Parser(prog="alblab " + " ".join(key), add_help=False)
     for flag, kwargs in flags + _GLOBAL_FLAGS:
         parser.add_argument(flag, **kwargs)
     ns = parser.parse_args(rest)
     cfg = _build_config(ns)
-    return handler(ns, cfg), EXIT_OK
+    return handler(importlib.import_module(f"{__package__}.{module}"), ns, cfg), EXIT_OK
 
 
 def _run_batch(argv):

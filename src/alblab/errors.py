@@ -1,0 +1,69 @@
+"""The input contract shared by every layer: the exceptions behind the CLI
+exit codes, the JSON shape check, complex parsing and the quadrature
+settings.  It needs only the standard library, so exact commands skip numpy.
+"""
+
+from __future__ import annotations
+
+import json
+import math
+import numbers
+from dataclasses import dataclass
+
+
+class DomainError(ValueError):
+    """Invalid geometric or algebraic input (maps to CLI exit code 1)."""
+
+
+class BadJson(ValueError):
+    """JSON input that is malformed or has the wrong shape (CLI exit code 65)."""
+
+
+class ConvergenceError(RuntimeError):
+    """Quadrature or regularization failed to converge (CLI exit code 2)."""
+
+
+def expect(shape_ok: bool, message: str) -> None:
+    """BadJson(message) unless the JSON input has the shape it should."""
+    if not shape_ok:
+        raise BadJson(message)
+
+
+def as_complex(value) -> complex:
+    """A number, an [re, im] pair of reals or an 're+imi' string."""
+    if isinstance(value, str):
+        return parse_complex(value)
+    pair = isinstance(value, (list, tuple))
+    expect(len(value) == 2 and all(isinstance(v, numbers.Real) for v in value) if pair
+           else isinstance(value, numbers.Number), f"expected a number or [re, im], got {value!r}")
+    try:
+        return complex(*value) if pair else complex(value)
+    except OverflowError as exc:
+        raise DomainError(f"{value!r} exceeds the float range") from exc
+
+
+def parse_complex(text: str) -> complex:
+    """Parse 're+imi' strings such as '0.5', '-1.2i', '0.5+0.3i', or '[re, im]'."""
+    s = str(text).strip().replace(" ", "")
+    if s.startswith("["):
+        try:
+            re_part, im_part = json.loads(s)
+            return complex(float(re_part), float(im_part))
+        except (ValueError, TypeError, OverflowError, RecursionError) as exc:
+            raise DomainError(f"cannot parse complex number {text!r}") from exc
+    try:
+        return complex(s.replace("i", "j"))
+    except ValueError as exc:
+        raise DomainError(f"cannot parse complex number {text!r}") from exc
+
+
+@dataclass(frozen=True)
+class QuadratureConfig:
+    abs_tol: float = 1e-10
+    max_subdivisions: int = 10
+
+    def __post_init__(self):
+        if not (math.isfinite(self.abs_tol) and self.abs_tol > 0):
+            raise DomainError(f"abs_tol must be positive and finite, got {self.abs_tol}")
+        if self.max_subdivisions < 1:
+            raise DomainError("max_subdivisions must be positive")

@@ -19,10 +19,8 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import numpy as np
-
 from . import linalg
-from .paths import DomainError
+from .errors import DomainError
 
 CRITERION_TOL = 1e-12
 TWO_PI_I = 2j * math.pi
@@ -192,7 +190,8 @@ class NilpotentEndo:
         return [[z, b, c], [z, z, a], [z, z, z]]
 
 
-def unipotent_matrix(a: int, b: int, c: int) -> np.ndarray:
+def unipotent_matrix(a: int, b: int, c: int):
+    import numpy as np
     return np.array([[1, b, c], [0, 1, a], [0, 0, 1]], dtype=object)
 
 
@@ -215,6 +214,7 @@ def griffiths_transversal(n: NilpotentEndo, f: HodgeFiltration) -> bool:
                 if not linalg.in_span(target, image):
                     return False
             else:
+                import numpy as np
                 nm = np.array([[float(x) for x in row] for row in mat], dtype=complex)
                 image = list(nm @ np.array([complex(x) for x in v]))
                 if not linalg.float_in_span([[complex(x) for x in w] for w in target], image):

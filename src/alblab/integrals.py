@@ -32,33 +32,17 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial import chebyshev
 
+from .errors import ConvergenceError, DomainError, QuadratureConfig
 from .malcev import GroupWord
-from .paths import (DomainError, JUNCTION_RADIUS, LineSegment, Path, TangentialAnchor,
+from .paths import (JUNCTION_RADIUS, LineSegment, Path, TangentialAnchor,
                     canonical_reach, loop_from_group_word, make_path)
 from .series import TruncatedSeries, check_level, exp_letter
 from .words import Word, check_word
-
-
-class ConvergenceError(RuntimeError):
-    """Quadrature or regularization failed to converge (CLI exit code 2)."""
-
-
-@dataclass(frozen=True)
-class QuadratureConfig:
-    abs_tol: float = 1e-10
-    max_subdivisions: int = 10
-
-    def __post_init__(self):
-        if not (math.isfinite(self.abs_tol) and self.abs_tol > 0):
-            raise DomainError(f"abs_tol must be positive and finite, got {self.abs_tol}")
-        if self.max_subdivisions < 1:
-            raise DomainError("max_subdivisions must be positive")
 
 
 DEFAULT_CONFIG = QuadratureConfig()

@@ -17,8 +17,6 @@ import math
 import operator
 from fractions import Fraction
 
-import numpy as np
-
 FLOAT_RANK_TOL = 1e-12
 
 
@@ -89,10 +87,6 @@ def rank(rows) -> int:
 def span_basis(rows):
     """Canonical (rref) basis of the span of the given vectors."""
     return rref(rows)[0]
-
-
-def span_equal(a, b) -> bool:
-    return span_basis(a) == span_basis(b)
 
 
 def in_span(vectors, target) -> bool:
@@ -222,6 +216,7 @@ def extend_basis(inside, ambient):
 # --- float path -------------------------------------------------------------
 
 def float_rank(rows, tol=FLOAT_RANK_TOL):
+    import numpy as np   # only the float path needs it; the exact commands start without it
     arr = np.asarray(rows, dtype=complex)
     if arr.size == 0:
         return 0

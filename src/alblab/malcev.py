@@ -23,8 +23,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import linalg
-from .series import concat_mul
-from .words import MAX_R, Word, check_word, shuffle_words, word_basis, word_index
+from .words import MAX_R, Word, check_word, concat_mul, shuffle_words, word_basis, word_index
 
 MAX_EXACT_LEVEL = 10  # 2047 words; the costliest level-10 call answers in about 1 s
 
@@ -297,19 +296,6 @@ def hall_coordinates(h: ExactSeries) -> dict[Word, Fraction]:
             if c != 0:
                 coords[lw] = c
     return coords
-
-
-def primitive_space_dimension(level: int) -> int:
-    """dim of the primitive subspace at the level, by exact linear algebra."""
-    _check_level(level)
-    dim = 2 ** (level + 1) - 2   # nonempty words; word index i sits in column i - 1
-    constraints = []
-    for _, _, terms in _coproduct_table(level):
-        row = [0] * dim
-        for w, m in terms:
-            row[w - 1] = m
-        constraints.append(row)
-    return dim - linalg.rank(constraints)
 
 
 # --- group words and Malcev coordinates ---------------------------------------

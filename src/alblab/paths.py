@@ -19,31 +19,18 @@ from __future__ import annotations
 
 import cmath
 import math
-import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
+from .errors import DomainError, as_complex, expect
+
 PUNCTURES = (0.0 + 0j, 1.0 + 0j)
 JUNCTION_RADIUS = 0.125   # base point of interior loops, on the positive real axis
 LOOP1_RADIUS = 0.25       # radius of the circle around 1 inside gamma1
 _CHAIN_TOL = 1e-12
-
-
-class DomainError(ValueError):
-    """Invalid geometric or algebraic input (maps to CLI exit code 1)."""
-
-
-class BadJson(ValueError):
-    """JSON input that is malformed or has the wrong shape (CLI exit code 65)."""
-
-
-def expect(shape_ok: bool, message: str) -> None:
-    """BadJson(message) unless the JSON input has the shape it should."""
-    if not shape_ok:
-        raise BadJson(message)
 
 
 def _log_ratio(num: complex, den: complex) -> complex:
@@ -375,35 +362,6 @@ class Path:
 
         segs = tuple(ReparametrizedSegment(s, warp, warp_deriv) for s in self.segments)
         return Path(segs, self.start_anchor, self.end_anchor)
-
-
-def as_complex(value) -> complex:
-    """A number, an [re, im] pair of reals or an 're+imi' string."""
-    if isinstance(value, str):
-        return parse_complex(value)
-    pair = isinstance(value, (list, tuple))
-    expect(len(value) == 2 and all(isinstance(v, numbers.Real) for v in value) if pair
-           else isinstance(value, numbers.Number), f"expected a number or [re, im], got {value!r}")
-    try:
-        return complex(*value) if pair else complex(value)
-    except OverflowError as exc:
-        raise DomainError(f"{value!r} exceeds the float range") from exc
-
-
-def parse_complex(text: str) -> complex:
-    """Parse 're+imi' strings such as '0.5', '-1.2i', '0.5+0.3i', or '[re, im]'."""
-    s = str(text).strip().replace(" ", "")
-    if s.startswith("["):
-        import json
-        try:
-            re_part, im_part = json.loads(s)
-            return complex(float(re_part), float(im_part))
-        except (ValueError, TypeError, OverflowError, RecursionError) as exc:
-            raise DomainError(f"cannot parse complex number {text!r}") from exc
-    try:
-        return complex(s.replace("i", "j"))
-    except ValueError as exc:
-        raise DomainError(f"cannot parse complex number {text!r}") from exc
 
 
 def loop_gamma0(turns: int = 1, radius: float = JUNCTION_RADIUS) -> Path:

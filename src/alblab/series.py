@@ -4,8 +4,6 @@ The same letters "0", "1" index both the group-ring side (e0, e1) and
 the form side (dz/z, dz/(1-z)).  ``TruncatedSeries``, the carrier of
 numerical signatures, holds one complex array in shortlex word order:
 the word of length k read as the binary number b sits at 2**k - 1 + b.
-``concat_mul`` is the sparse product of word dicts, for the Python-int
-numerators of the Malcev module and the one-letter log of ``exp_letter``.
 """
 
 from __future__ import annotations
@@ -15,10 +13,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .paths import DomainError, as_complex, expect
-from .words import Word, check_word, shuffle_words, word_index
-
-Coeffs = dict[Word, object]
+from .errors import DomainError, as_complex, expect
+from .words import Word, check_word, series_exp, shuffle_words, word_index
+from .words import concat_mul  # noqa: F401  (the sparse product keeps its name series.concat_mul)
 
 MAX_FLOAT_LEVEL = 12  # 8191 words a state; the slowest level-12 reach takes about 1.3 s
 
@@ -26,37 +23,6 @@ MAX_FLOAT_LEVEL = 12  # 8191 words a state; the slowest level-12 reach takes abo
 def check_level(r) -> None:
     if not 0 <= r <= MAX_FLOAT_LEVEL:
         raise DomainError(f"level must be between 0 and {MAX_FLOAT_LEVEL}, got {r}")
-
-
-def concat_mul(a: Coeffs, b: Coeffs, level: int) -> Coeffs:
-    """Concatenation product, truncated at the level."""
-    out: Coeffs = {}
-    fits: dict[int, list] = {}   # room -> the terms of b no longer than room, in b's order
-    for u, cu in a.items():
-        room = level - len(u)
-        if room < 0:
-            continue
-        terms = fits.get(room)
-        if terms is None:
-            terms = fits[room] = [(v, cv) for v, cv in b.items() if len(v) <= room]
-        for v, cv in terms:
-            w = u + v
-            prod = cu * cv
-            out[w] = out[w] + prod if w in out else prod
-    return {w: c for w, c in out.items() if c != 0}
-
-
-def series_exp(h: Coeffs, level: int) -> Coeffs:
-    """exp of a float series with zero constant term, truncated."""
-    out: Coeffs = {"": 1}
-    power = {"": 1}
-    fact = 1
-    for k in range(1, level + 1):
-        power = concat_mul(power, h, level)
-        fact *= k
-        for w, c in power.items():
-            out[w] = out.get(w, 0) + c / fact
-    return out
 
 
 @lru_cache(maxsize=None)

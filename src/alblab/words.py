@@ -7,17 +7,23 @@ canonical ordering is shortlex (length, then "0" < "1").
 
 Coefficients are exact rationals throughout: the shuffle and
 deconcatenation identities proved here serve as oracles for the
-floating-point integral routines and must hold on the nose.
+floating-point integral routines and must hold on the nose.  The sparse
+concatenation product ``concat_mul`` of word dicts serves both sides:
+the Python-int numerators of the Malcev module and the one-letter log
+of ``series.exp_letter``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
 ALPHABET = ("0", "1")
 MAX_R = 14  # longest word length anything enumerates; hall-dims at 14 takes about 2 s
+MAX_RIFFLES = 60_000       # riffles one shuffle product may enumerate; the slowest call near it takes 1.3 s
+MAX_SHUFFLE_LETTERS = 24   # letters of a word in a shuffle factor; shuffle_words recurses per letter
 
 Word = str
 
@@ -106,8 +112,23 @@ class ShuffleElement:
         return cls({w: Fraction(c) for w, c in data.items()})
 
 
+def _check_shuffle_size(a: ShuffleElement, b: ShuffleElement) -> None:
+    """The term pairs enumerate sum C(|u|+|v|, |u|) riffle shuffles; more
+    than MAX_RIFFLES is refused before any is made.  The count stops at
+    the first pair past the cap, so many-term factors cost no more."""
+    if max(a.degree, b.degree) > MAX_SHUFFLE_LETTERS:
+        raise ValueError(f"shuffle factors may have words of at most {MAX_SHUFFLE_LETTERS} letters")
+    riffles = 0
+    for u in a.coeffs:
+        for v in b.coeffs:
+            riffles += math.comb(len(u) + len(v), len(u))
+            if riffles > MAX_RIFFLES:
+                raise ValueError(f"the shuffle product has more than {MAX_RIFFLES} riffle shuffles")
+
+
 def shuffle_product(a: ShuffleElement, b: ShuffleElement) -> ShuffleElement:
     """Bilinear extension of the riffle shuffle; degrees add."""
+    _check_shuffle_size(a, b)
     out: dict[Word, Fraction] = {}
     for u, cu in a.coeffs.items():
         for v, cv in b.coeffs.items():
@@ -120,6 +141,42 @@ def deconcat_coproduct(w: Word) -> list[tuple[Word, Word]]:
     """All len(w)+1 splittings (prefix, suffix) of w, in order."""
     check_word(w)
     return [(w[:k], w[k:]) for k in range(len(w) + 1)]
+
+
+# --- sparse concatenation product -------------------------------------------
+
+Coeffs = dict[Word, object]
+
+
+def concat_mul(a: Coeffs, b: Coeffs, level: int) -> Coeffs:
+    """Concatenation product, truncated at the level."""
+    out: Coeffs = {}
+    fits: dict[int, list] = {}   # room -> the terms of b no longer than room, in b's order
+    for u, cu in a.items():
+        room = level - len(u)
+        if room < 0:
+            continue
+        terms = fits.get(room)
+        if terms is None:
+            terms = fits[room] = [(v, cv) for v, cv in b.items() if len(v) <= room]
+        for v, cv in terms:
+            w = u + v
+            prod = cu * cv
+            out[w] = out[w] + prod if w in out else prod
+    return {w: c for w, c in out.items() if c != 0}
+
+
+def series_exp(h: Coeffs, level: int) -> Coeffs:
+    """exp of a float series with zero constant term, truncated."""
+    out: Coeffs = {"": 1}
+    power = {"": 1}
+    fact = 1
+    for k in range(1, level + 1):
+        power = concat_mul(power, h, level)
+        fact *= k
+        for w, c in power.items():
+            out[w] = out.get(w, 0) + c / fact
+    return out
 
 
 # --- symbolic bar differential ----------------------------------------------

@@ -8,7 +8,7 @@ import pytest
 
 from alblab.albanese import (E23_ACTION, E24_ACTION, albanese_point,
                              albanese_point_alt, check_lie_action, e23_to_e24,
-                             extended_albanese, extended_albanese_class,
+                             extended_albanese,
                              lie_action_is_mhs_morphism, monodromy_action,
                              raw_coordinates, regression_constants)
 from alblab.hodge import TWO_PI_I, boundary_chart_point, reduce_mod_integral
@@ -192,7 +192,7 @@ class TestExtendedMap:
             assert abs(lam) <= 2 * abs(x)
 
     def test_orbit_class_at_zero(self, cfg):
-        cc = extended_albanese_class(0, cfg)
+        cc = boundary_chart_point(*extended_albanese(0, cfg))
         assert cc.kind == "orbit"
         assert (cc.orbit_generator.a, cc.orbit_generator.b, cc.orbit_generator.c) == (1, 0, 0)
         assert abs(cc.orbit_lambda) == 0

@@ -24,6 +24,49 @@ def run(capsys, argv):
     return code, (json.loads(out) if out.strip() else None)
 
 
+def _fresh_python(code: str, *args: str, stdin: str | None = None):
+    """Run code in a new interpreter that imports this checkout's alblab."""
+    src = str(Path(alblab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable, "-c", code, *args], input=stdin,
+                          capture_output=True, text=True, env=env)
+
+
+# one valid call of every subcommand but the selftest
+_ONE_VALID_CALL = {
+    "word_basis": ["words", "basis", "--r", "2"],
+    "shuffle_product": ["words", "shuffle", "--a", '{"01":"1/2","1":"3"}', "--b", '"10"'],
+    "deconcat_coproduct": ["words", "deconcat", "--word", "011"],
+    "bar_differential": ["words", "dbar", "--word", "01"],
+    "make_path": ["ii", "path", "--spec", '{"waypoints":[[0.25,0],[0.5,0]]}'],
+    "iterated_integral": ["ii", "eval", "--word", "0", "--path", '{"loop":"gamma0","turns":1}'],
+    "signature": ["ii", "signature", "--path", '{"waypoints":[[0.25,0],[0.5,0]]}'],
+    "compose_signatures": ["ii", "compose", "--a", '{"level":1,"coefficients":{"":[1,0],"0":[2,0]}}',
+                           "--b", '{"level":1,"coefficients":{"":[1,0],"1":[0,1]}}'],
+    "regularized_signature": ["ii", "regularized", "--x", "0.5"],
+    "monodromy_matrix": ["ii", "monodromy", "--loop", '{"loop":"gamma1","turns":1}'],
+    "exp_trunc": ["malcev", "exp", "--series", '{"0":"1","1":"1/2"}', "--level", "3"],
+    "log_trunc": ["malcev", "log", "--series", '{"":"1","0":"1"}', "--level", "3"],
+    "classify_coproduct": ["malcev", "classify", "--series", '{"0":"1"}', "--level", "2"],
+    "bch": ["malcev", "bch", "--a", '{"0":"1"}', "--b", '{"1":"1"}', "--level", "3"],
+    "hall_dims": ["malcev", "hall-dims", "--r", "4"],
+    "malcev_coordinates": ["malcev", "coords", "--word", "0 1 0^-1 1^-1", "--level", "3"],
+    "hodge_filtration_from": ["hodge", "filtration", "--F", "1/2,0.3,2"],
+    "griffiths_transversal": ["hodge", "transversal", "--N", "1,2,3", "--F", "1,1,4"],
+    "generates_nilpotent_orbit": ["hodge", "orbit", "--N", "1,2,3", "--F", "1,2,1"],
+    "relative_monodromy_filtration": ["hodge", "rmf", "--matrix", "[[0,1],[0,0]]",
+                                      "--weights", '{"0":[[1,0],[0,1]]}'],
+    "boundary_chart_point": ["hodge", "chart", "--q", "0.5", "--beta", "0.1", "--lambda", "0.2"],
+    "reduce_mod_integral": ["hodge", "reduce", "--coords", "1.5,-0.25,2"],
+    "albanese_point": ["alb", "map", "--x", "0.3+0.2i"],
+    "albanese_point_alt": ["alb", "map-alt", "--x", "0.3+0.2i"],
+    "extended_albanese": ["alb", "extend", "--x", "0.1"],
+    "monodromy_action": ["alb", "monodromy", "--word", "0 1"],
+    "lie_action_is_mhs_morphism": ["alb", "mhs-check"],
+}
+
+
 class TestSpecExamples:
     def test_ii_eval_gamma0(self, capsys):
         code, out = run(capsys, ["ii", "eval", "--word", "0",
@@ -158,6 +201,15 @@ class TestExitCodes:
             assert code == EXIT_DOMAIN
             assert "at most" in out["error"]
 
+    def test_shuffle_caps(self, capsys):
+        # 10 + 10 letters took 4 s; a 2000-letter word overflowed the recursion
+        for a, b in (("0" * 10, "1" * 10), ("0" * 2000, "1")):
+            start = time.perf_counter()
+            code, out = run(capsys, ["words", "shuffle", "--a", f'"{a}"', "--b", f'"{b}"'])
+            assert time.perf_counter() - start < 1
+            assert code == EXIT_DOMAIN
+            assert set(out) == {"error"}
+
     @pytest.mark.parametrize("argv", (
         ["ii", "compose", "--a", '{"level":2,"coefficients":{"0":5}}', "--b", '{"level":2,"coefficients":{}}'],
         ["ii", "compose", "--a", '{"coefficients":{}}', "--b", '{"level":2,"coefficients":{}}'],
@@ -206,7 +258,7 @@ _POOL = (
     "1e308", "1+1e-310j",
 )
 # the selftest has only its --level choice, and left out it runs for seconds
-_COMMANDS = sorted((sub, flags) for sub, _h, flags in COMMAND_TABLE.values() if sub != "selftest")
+_COMMANDS = sorted((sub, flags) for sub, _h, _m, flags in COMMAND_TABLE.values() if sub != "selftest")
 _ALLOWED_EXITS = {EXIT_OK, EXIT_DOMAIN, EXIT_NUMERIC, EXIT_USAGE, EXIT_BADJSON}
 
 
@@ -453,14 +505,29 @@ class TestEnvironment:
         assert code == EXIT_OK
 
     def test_import_leaves_scipy_out(self):
-        src = str(Path(alblab.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p))
-        proc = subprocess.run(
-            [sys.executable, "-c", "import alblab.cli, sys; print('scipy' in sys.modules)"],
-            capture_output=True, text=True, env=env)
+        proc = _fresh_python("import alblab.cli, sys; print('scipy' in sys.modules)")
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
+
+    @pytest.mark.parametrize("argv", [None] + [_ONE_VALID_CALL[op] for op in (
+        "shuffle_product", "malcev_coordinates", "generates_nilpotent_orbit")],
+        ids=lambda argv: " ".join(argv[:2]) if argv else "import")
+    def test_exact_commands_leave_numpy_out(self, argv):
+        call = f"c.run_command({argv!r})" if argv else "0"
+        proc = _fresh_python(f"import sys, alblab.cli as c; code = {call}; "
+                             "print(code, 'numpy' in sys.modules, file=sys.stderr)")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.split() == ["0", "False"]
+
+    def test_batch_of_every_command_in_a_fresh_interpreter(self):
+        # in-process tests have every module loaded already, so only a fresh
+        # interpreter shows a handler whose module is not imported on dispatch
+        assert set(_ONE_VALID_CALL) == set(COMMAND_TABLE) - {"selftest"}
+        proc = _fresh_python("import alblab.cli as c; c.main()", "--json-in", "-",
+                             stdin=json.dumps(list(_ONE_VALID_CALL.values())))
+        assert proc.returncode == EXIT_OK, proc.stderr
+        results = json.loads(proc.stdout)["results"]
+        assert [r["exit_code"] for r in results] == [EXIT_OK] * len(_ONE_VALID_CALL)
 
     def test_console_script(self):
         proc = subprocess.run([sys.executable, "-m", "alblab.cli"],

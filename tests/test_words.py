@@ -1,5 +1,6 @@
 """Exact word algebra: shuffle, deconcatenation, symbolic differential."""
 
+import math
 from fractions import Fraction
 from itertools import combinations
 
@@ -7,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alblab.words import (ShuffleElement, SymbolicFormTable, bar_differential,
-                          deconcat_coproduct, shuffle_product, shuffle_words,
-                          word_basis)
+from alblab.words import (MAX_RIFFLES, MAX_SHUFFLE_LETTERS, ShuffleElement, SymbolicFormTable,
+                          bar_differential, deconcat_coproduct, shuffle_product,
+                          shuffle_words, word_basis)
 
 word_strategy = st.text(alphabet="01", max_size=5)
 
@@ -95,6 +96,46 @@ class TestShuffle:
     def test_no_zero_coefficients_stored(self):
         e = ShuffleElement({"0": Fraction(1)}) - ShuffleElement({"0": Fraction(1)})
         assert e.coeffs == {}
+
+
+def _riffles(a: ShuffleElement, b: ShuffleElement) -> int:
+    return sum(math.comb(len(u) + len(v), len(u)) for u in a.coeffs for v in b.coeffs)
+
+
+class TestShuffleCaps:
+    # words of zeros shuffle into one word each, so the riffle count is
+    # large while the enumeration stays cheap
+    def test_at_the_riffle_cap(self):
+        a = ShuffleElement({"0" * n: 1 for n in (0, 1, 2, 6, 7, 12, 14)})
+        b = ShuffleElement.from_word("0" * 6)
+        assert _riffles(a, b) == MAX_RIFFLES
+        out = shuffle_product(a, b)
+        assert out.coeffs == {"0" * (n + 6): math.comb(n + 6, 6) for n in (0, 1, 2, 6, 7, 12, 14)}
+
+    def test_one_past_the_riffle_cap(self):
+        a = ShuffleElement({w: 1 for w in ("", "0", "00", "000", "0000", "00000", "1", "10000")})
+        b = ShuffleElement.from_word("0" * 17)
+        assert _riffles(a, b) == MAX_RIFFLES + 1
+        with pytest.raises(ValueError, match="riffle shuffles"):
+            shuffle_product(a, b)
+        with pytest.raises(ValueError, match="riffle shuffles"):
+            shuffle_product(b, a)
+
+    def test_many_terms_count_pairs(self):
+        # 2**10 words of length 10 against two words: each pair is small,
+        # the product of the term counts is not
+        a = ShuffleElement({w: 1 for w in word_basis(10) if len(w) == 10})
+        b = ShuffleElement({"0000": 1, "1111": 1})
+        assert _riffles(a, b) > MAX_RIFFLES
+        with pytest.raises(ValueError, match="riffle shuffles"):
+            shuffle_product(a, b)
+
+    def test_word_length_cap(self):
+        long = "01" * (MAX_SHUFFLE_LETTERS // 2)
+        out = shuffle_product(ShuffleElement.from_word(long), ShuffleElement.from_word("1"))
+        assert sum(out.coeffs.values()) == MAX_SHUFFLE_LETTERS + 1
+        with pytest.raises(ValueError, match="at most"):
+            shuffle_product(ShuffleElement.from_word(long + "0"), ShuffleElement.from_word(""))
 
 
 class TestDeconcat:
