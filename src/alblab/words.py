@@ -114,8 +114,8 @@ class ShuffleElement:
 
 def _check_shuffle_size(a: ShuffleElement, b: ShuffleElement) -> None:
     """The term pairs enumerate sum C(|u|+|v|, |u|) riffle shuffles; more
-    than MAX_RIFFLES is refused before any is made.  The count stops at
-    the first pair past the cap, so many-term factors cost no more."""
+    than MAX_RIFFLES is refused before any is made.  Each pair adds at least
+    one, so the count takes at most MAX_RIFFLES + 1 steps."""
     if max(a.degree, b.degree) > MAX_SHUFFLE_LETTERS:
         raise ValueError(f"shuffle factors may have words of at most {MAX_SHUFFLE_LETTERS} letters")
     riffles = 0
