@@ -7,11 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from alblab import linalg
-from alblab.malcev import (MAX_EXACT_LEVEL, ExactSeries, GroupWord, bch, bracket_expansion,
-                           classify_coproduct, exp_trunc, group_log,
+from alblab.malcev import (MAX_EXACT_LEVEL, ExactSeries, GroupWord, _coproduct_table, bch,
+                           bracket_expansion, classify_coproduct, exp_trunc, group_log,
                            hall_coordinates, hall_dims, is_grouplike, is_primitive,
                            log_trunc, lyndon_words, malcev_coordinates)
-from alblab.words import MAX_R, shuffle_words, word_basis
+from alblab.words import MAX_R, word_basis
 
 def random_series(rng, level, max_len=None):
     from alblab.words import word_basis
@@ -24,19 +24,15 @@ def random_series(rng, level, max_len=None):
 
 
 def primitive_space_dimension(level: int) -> int:
-    """dim of the primitives up to the level, by exact linear algebra: the
-    series h on nonempty words with sum m·h_w = 0 over each shuffle
-    u ⧢ v = sum m·w of nonempty words with |u| + |v| <= level."""
-    index = {w: i for i, w in enumerate(word_basis(level)[1:])}
-    rows = []
-    for u in index:
-        for v in index:
-            if len(u) + len(v) <= level:
-                row = [0] * len(index)
-                for w, m in shuffle_words(u, v):
-                    row[index[w]] = m
-                rows.append(row)
-    return len(index) - linalg.rank(rows)
+    """dim of the primitive subspace at the level, by exact linear algebra."""
+    dim = 2 ** (level + 1) - 2   # nonempty words; word index i sits in column i - 1
+    constraints = []
+    for _, _, terms in _coproduct_table(level):
+        row = [0] * dim
+        for w, m in terms:
+            row[w - 1] = m
+        constraints.append(row)
+    return dim - linalg.rank(constraints)
 
 
 class TestExpLog:
