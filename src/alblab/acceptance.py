@@ -189,37 +189,33 @@ def _random_rmf_instance(rng):
 
 
 def _lattice_subspaces(mat, w: WeightFiltrationGeneric, cap: int = 160):
-    """Closed-ish lattice of subspaces generated by W, kernels, and images."""
+    """Closed-ish lattice of subspaces generated by W, kernels, and images.
+
+    ``mat`` is an integer matrix; the subspaces are canonical values, so a
+    dict keyed by them is the set of those found so far, in order.
+    """
     dim = w.dim
-    full = [[Fraction(int(i == j)) for j in range(dim)] for i in range(dim)]
     # kernels and images of all powers, the weight steps, and their N-transforms
-    gens = [[], full]
-    for k in range(1, dim + 1):
-        pk = linalg.mat_power(mat, k)
-        gens.append(linalg.nullspace(pk))
-        gens.append(linalg.image(pk))
+    gens = [linalg.Subspace.zero(dim), linalg.Subspace.full(dim)]
+    power = mat
+    for _ in range(dim):
+        gens.append(linalg.nullspace(power, dim))
+        gens.append(linalg.image(power))
+        power = linalg.product(power, mat)
     for weight in w.jumps:
         sub = w.subspace(weight)
         gens.append(sub)
-        gens.append(linalg.image(mat, sub) if sub else [])
+        gens.append(linalg.image(mat, sub))
         gens.append(linalg.preimage(mat, sub))
-    def key(basis):
-        return tuple(map(tuple, basis))
-    # each subspace is kept as its rref basis, which is also its key
-    seen = {}
-    for g in gens:
-        basis = linalg.span_basis(g)
-        seen.setdefault(key(basis), basis)
+    seen = dict.fromkeys(gens)
     for _ in range(2):
         new = []
-        items = list(seen.values())
+        items = list(seen)
         for a in items:
             for b in items:
-                # both return rref bases already
-                for combo in (linalg.intersect(a, b), linalg.add_spans(a, b)):
-                    k = key(combo)
-                    if k not in seen:
-                        seen[k] = combo
+                for combo in (linalg.intersect(a, b), linalg.join(a, b)):
+                    if combo not in seen:
+                        seen[combo] = None
                         new.append(combo)
                 if len(seen) > cap:
                     break
@@ -227,7 +223,7 @@ def _lattice_subspaces(mat, w: WeightFiltrationGeneric, cap: int = 160):
                 break
         if not new or len(seen) > cap:
             break
-    return list(seen.values())
+    return list(seen)
 
 
 def rmf_brute_force(mat, w: WeightFiltrationGeneric, cap: int = 160):
@@ -236,25 +232,16 @@ def rmf_brute_force(mat, w: WeightFiltrationGeneric, cap: int = 160):
     profiles are forced by the graded Jordan data, which keeps the search
     tiny; used as the independent oracle for the constructive route."""
     dim = w.dim
+    mat = linalg.integer_matrix(mat)
     # forced dimension profile of M from the graded pieces
     profile: dict[int, int] = {}
     for weight in w.jumps:
-        lo = w.subspace(weight - 1)
-        hi = w.subspace(weight)
-        basis = linalg.extend_basis(lo, hi)
-        full = lo + basis
-        cols = []
-        for v in basis:
-            img = linalg.matvec(mat, v)
-            coeffs = linalg.solve_in_span(full, img)
-            cols.append(coeffs[len(lo):])
-        graded = [list(col) for col in zip(*cols)] if basis else []
-        if not graded:
-            continue
+        basis, coords = linalg.graded_piece(w.subspace(weight - 1), w.subspace(weight))
+        graded = [list(col) for col in zip(*[coords(linalg.apply(mat, v)) for v in basis])]
         pure = pure_monodromy_filtration(graded, weight)
         prev = 0
         for k in sorted(pure):
-            d = len(linalg.span_basis(pure[k]))
+            d = pure[k].dim
             if d > prev:
                 profile[k] = profile.get(k, 0) + (d - prev)
                 prev = d
@@ -267,27 +254,27 @@ def rmf_brute_force(mat, w: WeightFiltrationGeneric, cap: int = 160):
     candidates = _lattice_subspaces(mat, w, cap)
     by_dim: dict[int, list] = {}
     for c in candidates:
-        by_dim.setdefault(len(c), []).append(c)
+        by_dim.setdefault(c.dim, []).append(c)
     solutions = []
 
     def extend(level: int, chosen: list):
         if level == len(target_dims):
-            filt = WeightFiltrationGeneric.from_dict(
+            filt = WeightFiltrationGeneric.from_subspaces(
                 {k: chosen[i] for i, (k, _) in enumerate(target_dims)}, dim)
             if verify_relative_monodromy(mat, w, filt):
                 if all(filt != s for s in solutions):
                     solutions.append(filt)
             return
         k, d = target_dims[level]
+        # N must already map the candidate into the chosen filtration at k-2
+        low = linalg.Subspace.zero(dim)
+        for (kk, _), c in zip(target_dims[:level], chosen):
+            if kk <= k - 2:
+                low = c
         for cand in by_dim.get(d, []):
-            if chosen and not linalg.subspace_leq(chosen[-1], cand):
+            if chosen and not chosen[-1] <= cand:
                 continue
-            # N must already map the candidate into the chosen filtration at k-2
-            low: list = []
-            for (kk, _), c in zip(target_dims[:level], chosen):
-                if kk <= k - 2:
-                    low = c
-            if not all(linalg.in_span(low, linalg.matvec(mat, v)) for v in cand):
+            if not all(linalg.apply(mat, v) in low for v in cand.rows):
                 continue
             extend(level + 1, chosen + [cand])
 

@@ -56,42 +56,49 @@ def _floor_int(v) -> int:
 
 @dataclass(frozen=True)
 class WeightFiltrationGeneric:
-    """Increasing exhaustive filtration of Q^n given by cumulative spanning sets."""
+    """Increasing exhaustive filtration of Q^n by canonical subspaces."""
 
-    steps: tuple = ()   # ((weight, rref-basis), ...) sorted, strictly growing spans
+    steps: tuple = ()   # ((weight, linalg.Subspace), ...) sorted, strictly growing
     dim: int = 0
 
     @classmethod
     def from_dict(cls, data: dict, dim: int) -> "WeightFiltrationGeneric":
+        return cls.from_subspaces(
+            {w: linalg.Subspace.span([list(map(Fraction, v)) for v in vs], dim)
+             for w, vs in data.items()}, dim)
+
+    @classmethod
+    def from_subspaces(cls, data: dict, dim: int) -> "WeightFiltrationGeneric":
         steps = []
-        prev: list = []
+        prev = linalg.Subspace.zero(dim)
         for w in sorted(data):
-            basis = linalg.span_basis([list(map(Fraction, v)) for v in data[w]])
-            if not linalg.subspace_leq(prev, basis):
+            sub = data[w]
+            if not prev <= sub:
                 raise DomainError("weight filtration is not nested")
-            if len(basis) > len(prev):
-                steps.append((w, tuple(tuple(v) for v in basis)))
-            prev = basis
-        if len(prev) != dim:
+            if sub.dim > prev.dim:
+                steps.append((w, sub))
+            prev = sub
+        if prev.dim != dim:
             raise DomainError("weight filtration is not exhaustive")
         return cls(tuple(steps), dim)
 
-    def subspace(self, w: int) -> list:
-        out: list = []
-        for weight, basis in self.steps:
-            if weight <= w:
-                out = [list(v) for v in basis]
-        return out
+    def subspace(self, w: int) -> linalg.Subspace:
+        out = None
+        for weight, sub in self.steps:
+            if weight > w:
+                break
+            out = sub
+        return out if out is not None else linalg.Subspace.zero(self.dim)
 
     @property
     def jumps(self) -> list[int]:
         return [w for w, _ in self.steps]
 
     def graded_dim(self, w: int) -> int:
-        return len(self.subspace(w)) - len(self.subspace(w - 1))
+        return self.subspace(w).dim - self.subspace(w - 1).dim
 
     def to_json(self) -> dict:
-        return {str(w): [[str(x) for x in v] for v in basis] for w, basis in self.steps}
+        return {str(w): [[str(x) for x in v] for v in sub.fractions()] for w, sub in self.steps}
 
 
 # --- the fixed rank-3 lattice ----------------------------------------------------
@@ -190,9 +197,8 @@ class NilpotentEndo:
         return [[z, b, c], [z, z, a], [z, z, z]]
 
 
-def unipotent_matrix(a: int, b: int, c: int):
-    import numpy as np
-    return np.array([[1, b, c], [0, 1, a], [0, 0, 1]], dtype=object)
+def unipotent_matrix(a: int, b: int, c: int) -> tuple:
+    return ((1, b, c), (0, 1, a), (0, 0, 1))
 
 
 def coordinate_action(g, coords):
@@ -208,17 +214,17 @@ def griffiths_transversal(n: NilpotentEndo, f: HodgeFiltration) -> bool:
     exact = f.exact
     for p in (0, -1):
         target = f.generators(p - 1)
+        if exact:
+            span = linalg.Subspace.span(target, 3)
+            if any(linalg.apply(mat, v) not in span for v in f.generators(p)):
+                return False
+            continue
+        import numpy as np
+        nm = np.array([[float(x) for x in row] for row in mat], dtype=complex)
         for v in f.generators(p):
-            if exact:
-                image = linalg.matvec(mat, [Fraction(x) for x in v])
-                if not linalg.in_span(target, image):
-                    return False
-            else:
-                import numpy as np
-                nm = np.array([[float(x) for x in row] for row in mat], dtype=complex)
-                image = list(nm @ np.array([complex(x) for x in v]))
-                if not linalg.float_in_span([[complex(x) for x in w] for w in target], image):
-                    return False
+            image = list(nm @ np.array([complex(x) for x in v]))
+            if not linalg.float_in_span([[complex(x) for x in w] for w in target], image):
+                return False
     return True
 
 
@@ -263,67 +269,63 @@ def generates_nilpotent_orbit(n: NilpotentEndo, f: HodgeFiltration) -> OrbitResu
 
 
 # --- relative monodromy filtrations ------------------------------------------------
+#
+# Matrices here are integer matrices (linalg.integer_matrix): a positive
+# multiple of N has the same kernels, images and relative monodromy
+# filtration, so no Fraction is made between the input and the output.
 
 def _matrix_of(n) -> list:
-    if isinstance(n, NilpotentEndo):
-        return n.matrix()
-    return [[Fraction(x) for x in row] for row in n]
+    rows = n.matrix() if isinstance(n, NilpotentEndo) else n
+    return linalg.integer_matrix([[x if isinstance(x, (int, Fraction)) else Fraction(x)
+                                   for x in row] for row in rows])
 
 
-def _nilpotency_index(mat) -> int:
+def _powers(mat) -> list:
+    """[N^0, N^1, ..., N^m] with N^m = 0 the first vanishing power."""
     n = len(mat)
-    power = mat
-    for k in range(1, n + 2):
-        if all(x == 0 for row in power for x in row):
-            return k
-        power = linalg.matmul(power, mat)
-    raise DomainError("matrix is not nilpotent")
-
-
-def pure_monodromy_filtration(mat, center: int) -> dict:
-    """Monodromy filtration of a nilpotent matrix centered at ``center``.
-
-    M_{c+k} = sum over j >= max(k, 0) of ker(N^{j+1}) ∩ im(N^{j-k}).
-    """
-    n = len(mat)
-    m = _nilpotency_index(mat)
-    kernels = {j: linalg.nullspace(linalg.mat_power(mat, j)) for j in range(0, m + 1)}
-    images = {j: linalg.image(linalg.mat_power(mat, j)) for j in range(0, m + 1)}
-    out = {}
-    for k in range(-m, m):
-        pieces: list = []
-        for j in range(max(k, 0), m):
-            if j - k >= m:
-                continue   # that power of N is zero, so its image contributes nothing
-            pieces = linalg.add_spans(pieces, linalg.intersect(kernels[j + 1], images[j - k]))
-        out[center + k] = pieces
-    out[center + m - 1] = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    out = [[[int(i == j) for j in range(n)] for i in range(n)], mat]
+    while any(any(row) for row in out[-1]):
+        if len(out) > n + 1:
+            raise DomainError("matrix is not nilpotent")
+        out.append(linalg.product(out[-1], mat))
     return out
 
 
-def _restrict_matrix(mat, basis):
-    """Matrix of the restriction of ``mat`` to span(basis), in that basis."""
-    out = []
-    for v in basis:
-        image = linalg.matvec(mat, v)
-        coeffs = linalg.solve_in_span(basis, image)
-        if coeffs is None:
-            raise DomainError("subspace is not stable under the endomorphism")
-        out.append(coeffs)
-    return [list(col) for col in zip(*out)]   # columns are images
+def pure_monodromy_filtration(mat, center: int) -> dict:
+    """Monodromy filtration {k: M_k} of a nilpotent matrix centered at ``center``.
+
+    M_{c+k} = sum over j >= max(k, 0) of ker(N^{j+1}) ∩ im(N^{j-k}).
+    """
+    mat = _matrix_of(mat)
+    n = len(mat)
+    powers = _powers(mat)
+    m = len(powers) - 1
+    kernels = [linalg.Subspace.zero(n)] + [linalg.nullspace(p, n) for p in powers[1:]]
+    images = [linalg.Subspace.full(n)] + [linalg.image(p) for p in powers[1:]]
+    out = {}
+    for k in range(-m, m):
+        piece = linalg.Subspace.zero(n)
+        for j in range(max(k, 0), m):
+            if j - k >= m:
+                continue   # that power of N is zero, so its image contributes nothing
+            piece = linalg.join(piece, linalg.intersect(kernels[j + 1], images[j - k]))
+        out[center + k] = piece
+    out[center + m - 1] = linalg.Subspace.full(n)
+    return out
 
 
 def _jordan_chain_tops(mat):
-    """Chain tops (vector, height) of a nilpotent matrix, by the kernel ladder."""
-    m = _nilpotency_index(mat)
-    kernels = {j: linalg.nullspace(linalg.mat_power(mat, j)) for j in range(0, m + 1)}
+    """Chain tops (vector, height) of a nilpotent integer matrix, by the kernel ladder."""
+    n = len(mat)
+    powers = _powers(mat)
+    kernels = [linalg.Subspace.zero(n)] + [linalg.nullspace(p, n) for p in powers[1:]]
     tops = []
     carried: list = []   # one-step images of every chain alive at this height
-    for h in range(m, 0, -1):
-        base = linalg.add_spans(kernels[h - 1], carried)
-        new_tops = linalg.extend_basis(base, kernels[h])
+    for h in range(len(powers) - 1, 0, -1):
+        base = linalg.join(kernels[h - 1], linalg.Subspace.span(carried, n))
+        new_tops = linalg.extend_basis(base, kernels[h].rows)
         tops.extend((v, h) for v in new_tops)
-        carried = [linalg.matvec(mat, v) for v in carried + new_tops]
+        carried = [linalg.apply(mat, v) for v in carried + new_tops]
     return tops
 
 
@@ -337,96 +339,74 @@ def relative_monodromy_filtration(n, w: WeightFiltrationGeneric):
     correction is unsolvable, which is exactly the failure of existence.
     """
     mat = _matrix_of(n)
-    dim = len(mat)
-    _nilpotency_index(mat)
+    _powers(mat)
     for weight in w.jumps:
         sub = w.subspace(weight)
-        for v in sub:
-            if not linalg.in_span(sub, linalg.matvec(mat, v)):
+        for v in sub.rows:
+            if linalg.apply(mat, v) not in sub:
                 raise DomainError("N does not preserve the weight filtration")
     levels = _rmf_levels(mat, w)
     if levels is None:
         return None
-    cumulative: dict = {}
-    running: list = []
-    for k in sorted(levels):
-        running = linalg.add_spans(running, levels[k])
-        if running:
-            cumulative[k] = [list(v) for v in running]
-    return WeightFiltrationGeneric.from_dict(cumulative, dim)
+    return WeightFiltrationGeneric.from_subspaces(
+        {k: sub for k, sub in levels.items() if sub.dim}, len(mat))
 
 
 def _rmf_levels(mat, w: WeightFiltrationGeneric):
-    """Graded generators {k: vectors of M-weight k}, or None."""
+    """The relative monodromy filtration {k: M_k} of an integer matrix, or None."""
     jumps = w.jumps
     dim = w.dim
     top = jumps[-1]
     if len(jumps) == 1:
-        filt = pure_monodromy_filtration(mat, top)
-        return {k: basis for k, basis in filt.items()}
+        return pure_monodromy_filtration(mat, top)
 
-    sub_basis = w.subspace(top - 1)
-    sub_mat = _restrict_matrix(mat, sub_basis)
-    sub_w = WeightFiltrationGeneric.from_dict(
-        {weight: [linalg.solve_in_span(sub_basis, v) for v in w.subspace(weight)]
+    # N on the sub below the top weight, in the basis of its rows
+    sub = w.subspace(top - 1)
+    sub_basis, sub_coords = linalg.graded_piece(linalg.Subspace.zero(dim), sub)
+    sub_mat = [list(col) for col in zip(*[sub_coords(linalg.apply(mat, v)) for v in sub_basis])]
+    sub_w = WeightFiltrationGeneric.from_subspaces(
+        {weight: linalg.Subspace.span([sub_coords(v) for v in w.subspace(weight).rows],
+                                      len(sub_basis))
          for weight in jumps[:-1]}, len(sub_basis))
     sub_levels = _rmf_levels(sub_mat, sub_w)
     if sub_levels is None:
         return None
+    sub_m = {k: linalg.Subspace.span([linalg.combination(c, sub_basis) for c in s.rows], dim)
+             for k, s in sub_levels.items()}
 
-    def to_ambient(vec):
-        out = [Fraction(0)] * dim
-        for coeff, bvec in zip(vec, sub_basis):
-            for i in range(dim):
-                out[i] += coeff * Fraction(bvec[i])
-        return out
-
-    sub_cumulative: dict = {}
-    running: list = []
-    for k in sorted(sub_levels):
-        running = linalg.add_spans(running, [to_ambient(v) for v in sub_levels[k]])
-        sub_cumulative[k] = [list(v) for v in running]
-
-    def sub_m(k):
-        out: list = []
-        for kk in sorted(sub_cumulative):
+    def m_below(k):
+        out = linalg.Subspace.zero(dim)
+        for kk in sorted(sub_m):
             if kk <= k:
-                out = sub_cumulative[kk]
+                out = sub_m[kk]
         return out
 
-    # quotient by the sub: complement coordinates and induced matrix
-    std = [[Fraction(int(i == j)) for j in range(dim)] for i in range(dim)]
-    comp = linalg.extend_basis(sub_basis, std)
+    # N on the top graded quotient, in the basis of the unit vectors the sub lacks
+    q_basis, q_coords = linalg.graded_piece(sub, linalg.Subspace.full(dim))
+    q_mat = [list(col) for col in zip(*[q_coords(linalg.apply(mat, v)) for v in q_basis])]
 
-    def project(vec):
-        coeffs = linalg.solve_in_span(sub_basis + comp, vec)
-        return coeffs[len(sub_basis):]
-
-    q_mat_cols = [project(linalg.matvec(mat, v)) for v in comp]
-    q_mat = [list(col) for col in zip(*q_mat_cols)]
-
-    levels = {k: [to_ambient(v) for v in vs] for k, vs in sub_levels.items()}
+    powers = _powers(mat)
+    chains: dict = {}
     for vbar, height in _jordan_chain_tops(q_mat):
         l = height - 1
-        lift = [sum((Fraction(vbar[j]) * Fraction(comp[j][i]) for j in range(len(comp))),
-                    Fraction(0)) for i in range(dim)]
-        power = linalg.mat_power(mat, l + 1)
-        target = linalg.matvec(power, lift)
-        m_low = sub_m(top + l - 2 * (l + 1))
-        # solve N^{l+1}(lift + s) ∈ M_sub with s in the sub
-        columns = [[-x for x in linalg.matvec(power, v)] for v in sub_basis] + m_low
-        coeffs = linalg.solve_in_span(columns, target)
-        if coeffs is None:
+        lift = linalg.combination(vbar, q_basis)
+        # a top is lift + s, s in the sub, with N^{l+1}(lift + s) ∈ M_sub: an
+        # element of (sub + Q·lift) ∩ N^-(l+1) M_sub outside the sub
+        allowed = linalg.preimage(powers[l + 1], m_below(top - l - 2))
+        tops = linalg.intersect(linalg.join(sub, linalg.Subspace.span([lift], dim)), allowed)
+        vec = next((v for v in tops.rows if v not in sub), None)
+        if vec is None:
             return None
-        corrected = list(lift)
-        for cf, v in zip(coeffs[: len(sub_basis)], sub_basis):
-            for i in range(dim):
-                corrected[i] += cf * Fraction(v[i])
-        vec = corrected
         for i in range(l + 1):
-            weight_k = top + l - 2 * i
-            levels.setdefault(weight_k, []).append(list(vec))
-            vec = linalg.matvec(mat, vec)
+            chains.setdefault(top + l - 2 * i, []).append(vec)
+            vec = linalg.apply(mat, vec)
+
+    levels = {}
+    running = linalg.Subspace.zero(dim)
+    for k in sorted(set(sub_m) | set(chains)):
+        running = linalg.Subspace.span(running.rows + m_below(k).rows + tuple(chains.get(k, ())),
+                                       dim)
+        levels[k] = running
     return levels
 
 
@@ -434,54 +414,46 @@ def verify_relative_monodromy(n, w: WeightFiltrationGeneric,
                               m: WeightFiltrationGeneric) -> bool:
     """Direct exact check of both characterizing conditions."""
     mat = _matrix_of(n)
-    ks = m.jumps
-    lo, hi = min(ks) - 2, max(ks) + 2
-    for k in range(lo, hi + 1):
+    # N M_k ⊆ M_{k-2}: M_k only grows at its jumps, so those are the binding k
+    for k, step in m.steps:
         target = m.subspace(k - 2)
-        for v in m.subspace(k):
-            if not linalg.in_span(target, linalg.matvec(mat, v)):
-                return False
+        if not all(linalg.apply(mat, v) in target for v in step.rows):
+            return False
+    ks = m.jumps
     for weight in w.jumps:
         w_lo = w.subspace(weight - 1)
         w_hi = w.subspace(weight)
-        basis = linalg.extend_basis(w_lo, w_hi)   # graded piece coordinates
-        full = w_lo + basis
+        basis, coords = linalg.graded_piece(w_lo, w_hi)
+        pieces: dict = {}
 
         def graded_m(j):
-            inter = linalg.intersect(m.subspace(j), w_hi)
-            reps = []
-            for v in inter:
-                coeffs = linalg.solve_in_span(full, v)
-                reps.append(coeffs[len(w_lo):])
-            return linalg.span_basis([r for r in reps if any(x != 0 for x in r)])
+            """M_j on the graded piece, once per distinct step of M."""
+            step = m.subspace(j)
+            if step not in pieces:
+                pieces[step] = linalg.Subspace.span(
+                    [coords(v) for v in linalg.intersect(step, w_hi).rows], len(basis))
+            return pieces[step]
 
-        def graded_map(vec, k):
-            out = list(vec)
-            amb = [sum((vec[t] * Fraction(basis[t][i]) for t in range(len(basis))), Fraction(0))
-                   for i in range(w.dim)]
-            for _ in range(k):
-                amb = linalg.matvec(mat, amb)
-            coeffs = linalg.solve_in_span(full, amb)
-            if coeffs is None:
-                return None
-            return coeffs[len(w_lo):]
-
-        kmax = max(ks) - min(ks)
-        span_cache = {j: graded_m(j) for j in range(weight - kmax - 1, weight + kmax + 2)}
-        for k in range(0, kmax + 1):
-            up, up_prev = span_cache[weight + k], span_cache[weight + k - 1]
-            dn, dn_prev = span_cache[weight - k], span_cache[weight - k - 1]
-            if len(up) - len(up_prev) != len(dn) - len(dn_prev):
+        # the induced filtration can only jump at a jump of M, so every
+        # graded piece with N^k between them has k <= max |j - weight|
+        for k in range(0, max(abs(j - weight) for j in ks) + 1):
+            up, up_prev = graded_m(weight + k), graded_m(weight + k - 1)
+            dn, dn_prev = graded_m(weight - k), graded_m(weight - k - 1)
+            if up.dim - up_prev.dim != dn.dim - dn_prev.dim:
                 return False
-            reps = linalg.extend_basis(up_prev, up)
             images = []
-            for rvec in reps:
-                img = graded_map(rvec, k)
-                if img is None or not linalg.in_span(dn, img):
+            for rvec in linalg.extend_basis(up_prev, up.rows):
+                img = linalg.combination(rvec, basis)
+                for _ in range(k):
+                    img = linalg.apply(mat, img)
+                if img not in w_hi:
+                    return False
+                img = coords(img)
+                if img not in dn:
                     return False
                 images.append(img)
-            stacked = dn_prev + images
-            if linalg.rank(stacked) != len(dn_prev) + len(images):
+            if linalg.Subspace.span(dn_prev.rows + tuple(images), len(basis)).dim \
+                    != dn_prev.dim + len(images):
                 return False
     return True
 

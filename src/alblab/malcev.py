@@ -160,7 +160,8 @@ def _coproduct_table(level: int) -> tuple[tuple[int, int, tuple[tuple[int, int],
     the shuffle u ⧢ v = sum m·w.  The shuffle is symmetric, so v <= u adds nothing."""
     words = word_basis(level)
     index = word_index(level)
-    return tuple((iu, iv, tuple((index[w], m) for w, m in shuffle_words(u, v)))
+    memo: dict = {}
+    return tuple((iu, iv, tuple((index[w], m) for w, m in shuffle_words(u, v, memo)))
                  for iu, u in enumerate(words) if u
                  for iv, v in enumerate(words[iu:], iu) if len(u) + len(v) <= level)
 
@@ -288,7 +289,7 @@ def hall_coordinates(h: ExactSeries) -> dict[Word, Fraction]:
         vectors = []
         for lw in basis:
             exp = dict(bracket_expansion(lw))
-            vectors.append([Fraction(exp.get(w, 0)) for w in words_d])
+            vectors.append([exp.get(w, 0) for w in words_d])
         sol = linalg.solve_in_span(vectors, target)
         if sol is None:
             raise AssertionError("primitive not in the Lyndon span; primitivity check is broken")

@@ -52,19 +52,32 @@ def word_index(r: int) -> dict[Word, int]:
     return {w: i for i, w in enumerate(word_basis(r))}
 
 
-@lru_cache(maxsize=None)
-def shuffle_words(u: Word, v: Word) -> tuple[tuple[Word, int], ...]:
-    """Riffle shuffles of two words with multiplicities."""
+def shuffle_words(u: Word, v: Word, memo: dict | None = None) -> tuple[tuple[Word, int], ...]:
+    """Riffle shuffles of two words with multiplicities.
+
+    The recursion meets the same pairs of suffixes many times; ``memo``
+    keeps their shuffles.  Callers that shuffle many pairs pass one dict
+    for all of them, so the memory goes when they return and nothing
+    outlives the call.
+    """
+    if memo is None:
+        memo = {}
+    key = (u, v)
+    if key in memo:
+        return memo[key]
     if not u:
-        return ((v, 1),)
-    if not v:
-        return ((u, 1),)
-    counts: dict[Word, int] = {}
-    for w, c in shuffle_words(u[1:], v):
-        counts[u[0] + w] = counts.get(u[0] + w, 0) + c
-    for w, c in shuffle_words(u, v[1:]):
-        counts[v[0] + w] = counts.get(v[0] + w, 0) + c
-    return tuple(sorted(counts.items()))
+        out = ((v, 1),)
+    elif not v:
+        out = ((u, 1),)
+    else:
+        counts: dict[Word, int] = {}
+        for w, c in shuffle_words(u[1:], v, memo):
+            counts[u[0] + w] = counts.get(u[0] + w, 0) + c
+        for w, c in shuffle_words(u, v[1:], memo):
+            counts[v[0] + w] = counts.get(v[0] + w, 0) + c
+        out = tuple(sorted(counts.items()))
+    memo[key] = out
+    return out
 
 
 @dataclass(frozen=True)
@@ -130,9 +143,10 @@ def shuffle_product(a: ShuffleElement, b: ShuffleElement) -> ShuffleElement:
     """Bilinear extension of the riffle shuffle; degrees add."""
     _check_shuffle_size(a, b)
     out: dict[Word, Fraction] = {}
+    memo: dict = {}
     for u, cu in a.coeffs.items():
         for v, cv in b.coeffs.items():
-            for w, m in shuffle_words(u, v):
+            for w, m in shuffle_words(u, v, memo):
                 out[w] = out.get(w, Fraction(0)) + cu * cv * m
     return ShuffleElement(out)
 

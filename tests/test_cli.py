@@ -510,7 +510,8 @@ class TestEnvironment:
         assert proc.stdout.strip() == "False"
 
     @pytest.mark.parametrize("argv", [None] + [_ONE_VALID_CALL[op] for op in (
-        "shuffle_product", "malcev_coordinates", "generates_nilpotent_orbit")],
+        "shuffle_product", "malcev_coordinates", "generates_nilpotent_orbit",
+        "boundary_chart_point", "reduce_mod_integral")],
         ids=lambda argv: " ".join(argv[:2]) if argv else "import")
     def test_exact_commands_leave_numpy_out(self, argv):
         call = f"c.run_command({argv!r})" if argv else "0"

@@ -1,8 +1,10 @@
 """Period-domain machinery: flags, the orbit criterion, monodromy filtrations, the chart."""
 
 import cmath
+import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -39,9 +41,9 @@ class TestFiltration:
         f = hodge_filtration_from(alpha, beta, lam)
         g_frac = [[Fraction(int(x)) for x in row] for row in g]
         for p in (0, -1):
-            pushed = [linalg.matvec(g_frac, v) for v in f.generators(p)]
+            pushed = [linalg.apply(g_frac, v) for v in f.generators(p)]
             target = f_moved.generators(p)
-            assert linalg.span_basis(pushed) == linalg.span_basis(target)
+            assert linalg.Subspace.span(pushed, 3) == linalg.Subspace.span(target, 3)
 
     @given(frac, frac, frac)
     @settings(max_examples=100, deadline=None)
@@ -115,8 +117,8 @@ class TestPureMonodromy:
     def test_zero_matrix(self):
         mat = [[Fraction(0)] * 2 for _ in range(2)]
         filt = pure_monodromy_filtration(mat, 5)
-        assert linalg.span_basis(filt[5]) == [[1, 0], [0, 1]]
-        assert filt[4] == []
+        assert filt[5] == linalg.Subspace.full(2)
+        assert filt[4] == linalg.Subspace.zero(2)
 
     def test_jordan_block(self):
         mat = [[Fraction(0), Fraction(1)], [Fraction(0), Fraction(0)]]
@@ -164,6 +166,17 @@ class TestRelativeMonodromy:
         w = WeightFiltrationGeneric.from_dict({-2: [[1, 0]], 0: [[1, 0], [0, 1]]}, 2)
         with pytest.raises(DomainError):
             relative_monodromy_filtration(mat, w)
+
+    def test_verify_needs_n_to_be_an_isomorphism(self):
+        # N = 0 meets N M_k ⊆ M_{k-2} and the dimensions of gr_1 and gr_-1
+        # agree, but N: gr_1 -> gr_-1 is not an isomorphism
+        zero = [[Fraction(0)] * 2 for _ in range(2)]
+        w = WeightFiltrationGeneric.from_dict({0: [[1, 0], [0, 1]]}, 2)
+        split = WeightFiltrationGeneric.from_dict({-1: [[1, 0]], 1: [[1, 0], [0, 1]]}, 2)
+        assert not verify_relative_monodromy(zero, w, split)
+        assert verify_relative_monodromy(zero, w, w)
+        block = [[Fraction(0), Fraction(1)], [Fraction(0), Fraction(0)]]
+        assert verify_relative_monodromy(block, w, split)
 
     def test_randomized_against_search(self, rng):
         from alblab.acceptance import _random_rmf_instance
@@ -277,3 +290,61 @@ class TestWeightFiltrationType:
     def test_graded_dims(self):
         w = LAMBDA.weights
         assert [w.graded_dim(j) for j in (-4, -3, -2, -1, 0)] == [1, 0, 1, 0, 1]
+
+
+FROZEN = json.loads((Path(__file__).parent / "rmf_frozen.json").read_text())
+
+
+def _frozen_instance(case):
+    mat = [[Fraction(x) for x in row] for row in case["matrix"]]
+    w = WeightFiltrationGeneric.from_dict(
+        {int(k): [[Fraction(x) for x in v] for v in vs] for k, vs in case["weights"].items()},
+        len(mat))
+    return mat, w
+
+
+class TestFrozenRegression:
+    """Outputs pinned from the Fraction-list implementation that preceded the
+    integer-row Subspace, compared as JSON text.
+
+    The RMF instances are the exact benchmark's for seeds 0-4, those of
+    ``_random_rmf_instance`` with numpy seeds 0-39, and twenty more of them
+    (seeds 100-119) conjugated by a random invertible integer matrix, so
+    that W is not a coordinate flag.  The orbit cases are the exact
+    benchmark's for seeds 0-4 and twenty random rational ones.
+    """
+
+    @pytest.mark.parametrize("case", FROZEN["rmf"])
+    def test_rmf_and_brute_force(self, case):
+        mat, w = _frozen_instance(case)
+        m = relative_monodromy_filtration(mat, w)
+        assert json.dumps(None if m is None else m.to_json()) == json.dumps(case["rmf"])
+        found = [s.to_json() for s in rmf_brute_force(mat, w)]
+        assert json.dumps(found) == json.dumps(case["brute"])
+
+    def test_orbits(self):
+        for case in FROZEN["orbits"]:
+            r = generates_nilpotent_orbit(NilpotentEndo(*map(Fraction, case["N"])),
+                                          hodge_filtration_from(*map(Fraction, case["F"])))
+            assert (r.generates, str(r.criterion_defect), r.transversal, r.admissible,
+                    r.reason) == (case["generates"], case["criterion_defect"],
+                                  case["transversal"], case["admissible"], case["reason"])
+
+    @pytest.mark.parametrize("case", [c for c in FROZEN["rmf"] if c["rmf"]][::3])
+    def test_verify_accepts_only_the_rmf(self, case):
+        # the relative monodromy filtration is unique, so every other
+        # filtration must fail one of the two conditions
+        mat, w = _frozen_instance(case)
+        m = relative_monodromy_filtration(mat, w)
+        steps = dict(m.steps)
+        variants = [w, {k + 1: s for k, s in steps.items()}, {k - 2: s for k, s in steps.items()}]
+        ks = sorted(steps)
+        for i, k in enumerate(ks):
+            for moved in (k - 1, k + 1):
+                if moved not in steps and (i == 0 or ks[i - 1] < moved) \
+                        and (i + 1 == len(ks) or moved < ks[i + 1]):
+                    variants.append({kk if kk != k else moved: s for kk, s in steps.items()})
+        for variant in variants:
+            if not isinstance(variant, WeightFiltrationGeneric):
+                variant = WeightFiltrationGeneric.from_subspaces(variant, w.dim)
+            assert verify_relative_monodromy(mat, w, variant) == (variant == m)

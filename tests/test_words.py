@@ -1,6 +1,8 @@
 """Exact word algebra: shuffle, deconcatenation, symbolic differential."""
 
+import gc
 import math
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
@@ -129,6 +131,24 @@ class TestShuffleCaps:
         assert _riffles(a, b) > MAX_RIFFLES
         with pytest.raises(ValueError, match="riffle shuffles"):
             shuffle_product(a, b)
+
+    def test_near_cap_products_leave_no_memory_behind(self):
+        # 9 + 9 letters both ways, 7 + 12 both ways and 6 + 15: 48620 to 54264
+        # riffles each.  A memo that outlived the call kept about 12 MB here.
+        pairs = [("110111111", "001001010"), ("001001010", "110111111"),
+                 ("0110111", "011100010110"), ("011100010110", "0110111"),
+                 ("100000", "100110110101101")]
+        assert all(MAX_RIFFLES * 4 // 5 < math.comb(len(u) + len(v), len(u)) <= MAX_RIFFLES
+                   for u, v in pairs)
+        tracemalloc.start()
+        try:
+            for u, v in pairs:
+                shuffle_product(ShuffleElement.from_word(u), ShuffleElement.from_word(v))
+            gc.collect()
+            retained, _peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert retained < 5e6
 
     def test_word_length_cap(self):
         long = "01" * (MAX_SHUFFLE_LETTERS // 2)
