@@ -339,7 +339,7 @@ def relative_monodromy_filtration(n, w: WeightFiltrationGeneric):
     correction is unsolvable, which is exactly the failure of existence.
     """
     mat = _matrix_of(n)
-    _powers(mat)
+    _powers(mat)   # DomainError unless N is nilpotent
     for weight in w.jumps:
         sub = w.subspace(weight)
         for v in sub.rows:

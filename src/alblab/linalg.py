@@ -155,13 +155,16 @@ class Subspace:
     def __le__(self, other: "Subspace") -> bool:
         return self.dim <= other.dim and all(row in other for row in self.rows)
 
+    def _pivot_lcm(self) -> int:
+        return math.lcm(*[row[p] for row, p in zip(self.rows, self.pivots)])
+
     def residue(self, vec) -> list[int]:
         """L·vec minus its component along the rows, L the lcm of the pivots.
 
         Zero at every pivot column; linear in vec with one factor L for all
         vectors, so it is the quotient map to Q^n / self in integer form.
         """
-        scale = math.lcm(*[row[p] for row, p in zip(self.rows, self.pivots)])
+        scale = self._pivot_lcm()
         v = [scale * x for x in vec]
         for row, p in zip(self.rows, self.pivots):
             a = vec[p]
@@ -172,7 +175,7 @@ class Subspace:
 
     def annihilator(self) -> list[list[int]]:
         """Integer functionals spanning {phi : phi(v) = 0 on self}, one per free column."""
-        scale = math.lcm(*[row[p] for row, p in zip(self.rows, self.pivots)])
+        scale = self._pivot_lcm()
         pivots = set(self.pivots)
         out = []
         for f in range(self.n):
@@ -291,10 +294,8 @@ def image(mat, sub: Subspace | None = None) -> Subspace:
 
 def preimage(mat, sub: Subspace) -> Subspace:
     """{v : A v ∈ sub}: the kernel of sub's annihilator composed with A."""
-    ncols = len(mat[0])
     cols = list(zip(*mat))
-    return nullspace([[sum(map(operator.mul, phi, col)) for col in cols]
-                      for phi in sub.annihilator()], ncols)
+    return nullspace([apply(cols, phi) for phi in sub.annihilator()], len(cols))
 
 
 def extend_basis(inside: Subspace, vectors) -> list:
