@@ -95,7 +95,11 @@ def _echelon(mat) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
 
 
 class Subspace:
-    """A subspace of Q^n in canonical form: reduced rows of primitive ints."""
+    """A subspace of Q^n in canonical form: reduced rows of primitive ints.
+
+    Build one with ``span``, ``zero`` or ``full`` or the operations below;
+    the constructor takes rows and pivots that are already canonical.
+    """
 
     __slots__ = ("n", "pivots", "rows", "_hash")
 
