@@ -21,8 +21,7 @@ from .albanese import (E23_ACTION, albanese_point, check_lie_action,
                        extended_albanese, lie_action_is_mhs_morphism,
                        monodromy_action, raw_coordinates, regression_constants)
 from .hodge import (LAMBDA, TWO_PI_I, NilpotentEndo, WeightFiltrationGeneric,
-                    boundary_chart_point, griffiths_transversal,
-                    hodge_filtration_from, pure_monodromy_filtration,
+                    boundary_chart_point, griffiths_transversal, hodge_filtration_from,
                     relative_monodromy_filtration, verify_relative_monodromy)
 from .integrals import DEFAULT_CONFIG, QuadratureConfig, signature, tangential_iterated_integral
 from .malcev import ExactSeries, bch, hall_dims, malcev_coordinates
@@ -226,25 +225,40 @@ def _lattice_subspaces(mat, w: WeightFiltrationGeneric, cap: int = 160):
     return list(seen)
 
 
-def rmf_brute_force(mat, w: WeightFiltrationGeneric, cap: int = 160):
-    """All filtrations satisfying both characterizing conditions, found by
-    searching nested chains in a lattice of natural subspaces.  Dimension
-    profiles are forced by the graded Jordan data, which keeps the search
-    tiny; used as the independent oracle for the constructive route."""
-    dim = w.dim
-    mat = linalg.integer_matrix(mat)
-    # forced dimension profile of M from the graded pieces
+def rmf_profile(mat, w: WeightFiltrationGeneric) -> dict[int, int]:
+    """dim gr_k M that the relative monodromy filtration must have, {k: dim}.
+
+    Read off the Jordan type of N on each graded piece of W: with
+    r_j = rank N_gr^j, there are r_{s-1} - 2 r_s + r_{s+1} blocks of size
+    s, and each adds one dimension at w + s - 1 - 2i for i < s.  Only
+    ranks, no subspace of the construction.
+    """
     profile: dict[int, int] = {}
     for weight in w.jumps:
         basis, coords = linalg.graded_piece(w.subspace(weight - 1), w.subspace(weight))
         graded = [list(col) for col in zip(*[coords(linalg.apply(mat, v)) for v in basis])]
-        pure = pure_monodromy_filtration(graded, weight)
-        prev = 0
-        for k in sorted(pure):
-            d = pure[k].dim
-            if d > prev:
-                profile[k] = profile.get(k, 0) + (d - prev)
-                prev = d
+        ranks, power = [len(basis)], graded
+        for _ in basis:   # r_j for j <= d; N_gr^d = 0 on a piece of dimension d
+            ranks.append(linalg.rank(power))
+            power = linalg.product(power, graded)
+        ranks.append(0)
+        for s in range(1, len(ranks) - 1):
+            blocks = ranks[s - 1] - 2 * ranks[s] + ranks[s + 1]
+            for i in range(s):
+                k = weight + s - 1 - 2 * i
+                profile[k] = profile.get(k, 0) + blocks
+    return {k: d for k, d in profile.items() if d}
+
+
+def rmf_brute_force(mat, w: WeightFiltrationGeneric, cap: int = 160):
+    """All filtrations satisfying both characterizing conditions, found by
+    searching nested chains in a lattice of natural subspaces.  Dimension
+    profiles are forced by the graded Jordan data (``rmf_profile``), which
+    keeps the search tiny; used as the independent oracle for the
+    constructive route."""
+    dim = w.dim
+    mat = linalg.integer_matrix(mat)
+    profile = rmf_profile(mat, w)
     ks = sorted(profile)
     cum = 0
     target_dims = []

@@ -252,6 +252,7 @@ def _h_hodge_orbit(hodge, args, cfg):
 def _h_hodge_rmf(hodge, args, cfg):
     raw = _loads(args.matrix)
     mat = _rational_rows(raw, "--matrix", len(raw) if isinstance(raw, list) else 0)
+    hodge.check_rmf_dim(len(mat))   # before W's elimination
     weights = _loads(args.weights)
     expect(isinstance(weights, dict), "--weights maps integer weights to lists of vectors")
     wdata = {int(k): _rational_rows(vs, f"weight {k}", len(mat)) for k, vs in weights.items()}

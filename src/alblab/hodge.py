@@ -8,6 +8,13 @@ with unipotent upper-triangular matrices; a nilpotent direction
 c = a*beta - b*alpha, which this module decides both by the closed
 criterion and independently by rank computations.
 
+Admissibility is the existence of the relative monodromy filtration M of
+(N, W).  ``relative_monodromy_filtration`` builds it in one bottom-up pass
+over the weights (Jordan chains on each graded piece of W, their tops
+corrected into the part already built); its pure case, a single weight,
+is Deligne's monodromy filtration.  ``verify_relative_monodromy`` checks
+both defining conditions directly.
+
 Exact rational arithmetic is used whenever every input is rational;
 otherwise a float path with tolerance 1e-12 takes over.
 """
@@ -107,15 +114,8 @@ class WeightFiltrationGeneric:
 class LambdaData:
     """Rank-3 lattice with weights -4, -2, 0 and one Hodge type per weight."""
 
-    rank: int = 3
-    basis_names: tuple = ("e1", "e2", "e3")
     weights: WeightFiltrationGeneric = field(default_factory=lambda: WeightFiltrationGeneric.from_dict(
         {-4: [[1, 0, 0]], -2: [[1, 0, 0], [0, 1, 0]], 0: [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}, 3))
-    # <e_j, e_j>_w = 1 on gr_w for the single generator of each graded piece
-    pairings: tuple = ((0, 1), (-2, 1), (-4, 1))
-    hodge_numbers: tuple = (((0, 0), 1), ((-1, -1), 1), ((-2, -2), 1))
-    basis_weights: tuple = (-4, -2, 0)
-    basis_types: tuple = ((-2, -2), (-1, -1), (0, 0))
 
 
 LAMBDA = LambdaData()
@@ -280,6 +280,15 @@ def _matrix_of(n) -> list:
                                    for x in row] for row in rows])
 
 
+MAX_RMF_DIM = 48  # a conjugated 48 x 48 Jordan block, the slowest input tried, takes about 1.3 s
+
+
+def check_rmf_dim(dim: int) -> None:
+    """DomainError past MAX_RMF_DIM, before any elimination."""
+    if dim > MAX_RMF_DIM:
+        raise DomainError(f"the dimension must be between 0 and {MAX_RMF_DIM}, got {dim}")
+
+
 def _powers(mat) -> list:
     """[N^0, N^1, ..., N^m] with N^m = 0 the first vanishing power."""
     n = len(mat)
@@ -291,123 +300,82 @@ def _powers(mat) -> list:
     return out
 
 
-def pure_monodromy_filtration(mat, center: int) -> dict:
-    """Monodromy filtration {k: M_k} of a nilpotent matrix centered at ``center``.
+def _jordan_chain_tops(mat):
+    """Chain tops of a nilpotent integer matrix, by the kernel ladder.
 
-    M_{c+k} = sum over j >= max(k, 0) of ker(N^{j+1}) ∩ im(N^{j-k}).
+    ker N^h = N^-1 ker N^(h-1), climbed until it is everything; the answer
+    is [(height, tops)] from the tallest chains down, every height with at
+    least one top.
     """
-    mat = _matrix_of(mat)
     n = len(mat)
-    powers = _powers(mat)
-    m = len(powers) - 1
-    kernels = [linalg.Subspace.zero(n)] + [linalg.nullspace(p, n) for p in powers[1:]]
-    images = [linalg.Subspace.full(n)] + [linalg.image(p) for p in powers[1:]]
-    out = {}
-    for k in range(-m, m):
-        piece = linalg.Subspace.zero(n)
-        for j in range(max(k, 0), m):
-            if j - k >= m:
-                continue   # that power of N is zero, so its image contributes nothing
-            piece = linalg.join(piece, linalg.intersect(kernels[j + 1], images[j - k]))
-        out[center + k] = piece
-    out[center + m - 1] = linalg.Subspace.full(n)
+    kernels = [linalg.Subspace.zero(n)]
+    while kernels[-1].dim < n:   # ends: the caller has checked that N is nilpotent
+        kernels.append(linalg.preimage(mat, kernels[-1]))
+    out = []
+    carried: list = []   # one-step images of every chain alive at this height
+    for h in range(len(kernels) - 1, 0, -1):
+        base = linalg.join(kernels[h - 1], linalg.Subspace.span(carried, n))
+        new_tops = linalg.extend_basis(base, kernels[h].rows)
+        if new_tops:
+            out.append((h, new_tops))
+        carried = [linalg.apply(mat, v) for v in carried + new_tops]
     return out
 
 
-def _jordan_chain_tops(mat):
-    """Chain tops (vector, height) of a nilpotent integer matrix, by the kernel ladder."""
-    n = len(mat)
-    powers = _powers(mat)
-    kernels = [linalg.Subspace.zero(n)] + [linalg.nullspace(p, n) for p in powers[1:]]
-    tops = []
-    carried: list = []   # one-step images of every chain alive at this height
-    for h in range(len(powers) - 1, 0, -1):
-        base = linalg.join(kernels[h - 1], linalg.Subspace.span(carried, n))
-        new_tops = linalg.extend_basis(base, kernels[h].rows)
-        tops.extend((v, h) for v in new_tops)
-        carried = [linalg.apply(mat, v) for v in carried + new_tops]
-    return tops
+def _partial_filtration(chains: dict, dim: int) -> WeightFiltrationGeneric:
+    """M_k = the span of the chain vectors at levels <= k, unchecked for exhaustion."""
+    steps = []
+    running = linalg.Subspace.zero(dim)
+    for k in sorted(chains):
+        running = linalg.Subspace.span(running.rows + tuple(chains[k]), dim)
+        steps.append((k, running))
+    return WeightFiltrationGeneric(tuple(steps), dim)
 
 
 def relative_monodromy_filtration(n, w: WeightFiltrationGeneric):
     """The filtration M with N M_k ⊆ M_{k-2} inducing centered filtrations on gr^W.
 
-    Built by the standard induction on the top weight: recurse on the
-    sub below the top, take Jordan chains on the top graded quotient,
-    and correct each chain top by an element of the sub so that the
-    whole chain keeps shifting M by -2.  Returns None when some
-    correction is unsolvable, which is exactly the failure of existence.
+    One pass over the jumps of W from the bottom up, in ambient
+    coordinates.  At weight w, take the Jordan chain tops of N on the
+    graded piece W_w / W_below; lift each top of height l + 1 to W_w and
+    correct it by an element of W_below so that N^{l+1} of it lands in
+    M_{w-l-2} of the part already built; its chain then joins M at
+    w + l, w + l - 2, ..., w - l.  At the first weight W_below is 0, the
+    correction is the identity and the chains give Deligne's monodromy
+    filtration.  Returns None when some correction is unsolvable, which is
+    exactly the failure of existence (Steenbrink-Zucker 1985).
     """
     mat = _matrix_of(n)
-    _powers(mat)   # DomainError unless N is nilpotent
-    for weight in w.jumps:
-        sub = w.subspace(weight)
+    dim = len(mat)
+    check_rmf_dim(dim)
+    powers = _powers(mat)   # DomainError unless N is nilpotent
+    for _, sub in w.steps:
         for v in sub.rows:
             if linalg.apply(mat, v) not in sub:
                 raise DomainError("N does not preserve the weight filtration")
-    levels = _rmf_levels(mat, w)
-    if levels is None:
-        return None
-    return WeightFiltrationGeneric.from_subspaces(
-        {k: sub for k, sub in levels.items() if sub.dim}, len(mat))
-
-
-def _rmf_levels(mat, w: WeightFiltrationGeneric):
-    """The relative monodromy filtration {k: M_k} of an integer matrix, or None."""
-    jumps = w.jumps
-    dim = w.dim
-    top = jumps[-1]
-    if len(jumps) == 1:
-        return pure_monodromy_filtration(mat, top)
-
-    # N on the sub below the top weight, in the basis of its rows
-    sub = w.subspace(top - 1)
-    sub_basis, sub_coords = linalg.graded_piece(linalg.Subspace.zero(dim), sub)
-    sub_mat = [list(col) for col in zip(*[sub_coords(linalg.apply(mat, v)) for v in sub_basis])]
-    sub_w = WeightFiltrationGeneric.from_subspaces(
-        {weight: linalg.Subspace.span([sub_coords(v) for v in w.subspace(weight).rows],
-                                      len(sub_basis))
-         for weight in jumps[:-1]}, len(sub_basis))
-    sub_levels = _rmf_levels(sub_mat, sub_w)
-    if sub_levels is None:
-        return None
-    sub_m = {k: linalg.Subspace.span([linalg.combination(c, sub_basis) for c in s.rows], dim)
-             for k, s in sub_levels.items()}
-
-    def m_below(k):
-        out = linalg.Subspace.zero(dim)
-        for kk in sorted(sub_m):
-            if kk <= k:
-                out = sub_m[kk]
-        return out
-
-    # N on the top graded quotient, in the basis of the unit vectors the sub lacks
-    q_basis, q_coords = linalg.graded_piece(sub, linalg.Subspace.full(dim))
-    q_mat = [list(col) for col in zip(*[q_coords(linalg.apply(mat, v)) for v in q_basis])]
-
-    powers = _powers(mat)
-    chains: dict = {}
-    for vbar, height in _jordan_chain_tops(q_mat):
-        l = height - 1
-        lift = linalg.combination(vbar, q_basis)
-        # a top is lift + s, s in the sub, with N^{l+1}(lift + s) ∈ M_sub: an
-        # element of (sub + Q·lift) ∩ N^-(l+1) M_sub outside the sub
-        allowed = linalg.preimage(powers[l + 1], m_below(top - l - 2))
-        tops = linalg.intersect(linalg.join(sub, linalg.Subspace.span([lift], dim)), allowed)
-        vec = next((v for v in tops.rows if v not in sub), None)
-        if vec is None:
-            return None
-        for i in range(l + 1):
-            chains.setdefault(top + l - 2 * i, []).append(vec)
-            vec = linalg.apply(mat, vec)
-
-    levels = {}
-    running = linalg.Subspace.zero(dim)
-    for k in sorted(set(sub_m) | set(chains)):
-        running = linalg.Subspace.span(running.rows + m_below(k).rows + tuple(chains.get(k, ())),
-                                       dim)
-        levels[k] = running
-    return levels
+    chains: dict = {}   # level k -> the chain vectors put into M_k
+    built = _partial_filtration(chains, dim)
+    below = linalg.Subspace.zero(dim)
+    for weight, hi in w.steps:
+        basis, coords = linalg.graded_piece(below, hi)
+        graded = [list(col) for col in zip(*[coords(linalg.apply(mat, v)) for v in basis])]
+        for height, vbars in _jordan_chain_tops(graded):
+            # a top is lift + s, s in below, with N^height(lift + s) in M of the
+            # part built: an element of (below + Q·lift) ∩ N^-height M outside below
+            allowed = linalg.preimage(powers[height], built.subspace(weight - height - 1))
+            for vbar in vbars:
+                lift = linalg.combination(vbar, basis)
+                tops = linalg.intersect(linalg.join(below, linalg.Subspace.span([lift], dim)),
+                                        allowed)
+                vec = next((v for v in tops.rows if v not in below), None)
+                if vec is None:
+                    return None
+                for i in range(height):
+                    chains.setdefault(weight + height - 1 - 2 * i, []).append(vec)
+                    vec = linalg.apply(mat, vec)
+        built = _partial_filtration(chains, dim)
+        below = hi
+    return WeightFiltrationGeneric.from_subspaces(dict(built.steps), dim)
 
 
 def verify_relative_monodromy(n, w: WeightFiltrationGeneric,

@@ -15,7 +15,15 @@ from hypothesis import strategies as st
 import alblab
 from alblab.cli import (COMMAND_TABLE, EXIT_BADJSON, EXIT_DOMAIN, EXIT_NUMERIC,
                         EXIT_OK, EXIT_USAGE, run_command)
+from alblab.hodge import MAX_RMF_DIM
 from alblab.malcev import MAX_WORD_LETTERS
+
+
+def _rmf_argv(mat):
+    """hodge rmf of an integer matrix with one weight, 0."""
+    n = len(mat)
+    identity = [[int(i == j) for j in range(n)] for i in range(n)]
+    return ["hodge", "rmf", "--matrix", json.dumps(mat), "--weights", json.dumps({"0": identity})]
 
 
 def run(capsys, argv):
@@ -179,12 +187,26 @@ class TestExitCodes:
                      ["malcev", "hall-dims", "--r", "200"],
                      ["malcev", "coords", "--word", "0", "--level", "30"],
                      ["ii", "signature", "--path", '{"loop":"gamma0"}', "--level", "30"],
-                     ["ii", "regularized", "--x", "0.5", "--level", "30"]):
+                     ["ii", "regularized", "--x", "0.5", "--level", "30"],
+                     _rmf_argv([[0] * (MAX_RMF_DIM + 1)] * (MAX_RMF_DIM + 1))):
             start = time.perf_counter()
             code, out = run(capsys, argv)
             assert time.perf_counter() - start < 1
             assert code == EXIT_DOMAIN
             assert "between" in out["error"]
+
+    def test_rmf_at_the_dimension_cap(self, capsys):
+        n = MAX_RMF_DIM
+        block = [[int(j == i + 1) for j in range(n)] for i in range(n)]
+        code, out = run(capsys, _rmf_argv(block))
+        assert code == EXIT_OK
+        assert sorted(map(int, out["filtration"])) == list(range(1 - n, n, 2))
+
+    def test_rmf_of_the_zero_space(self, capsys):
+        # W.jumps[-1] of the empty filtration used to raise IndexError
+        code, out = run(capsys, ["hodge", "rmf", "--matrix", "[]", "--weights", "{}"])
+        assert code == EXIT_OK
+        assert out == {"exists": True, "filtration": {}}
 
     def test_group_word_cap(self, capsys):
         # powers used to expand letter by letter: 0^3000 ran past 30 s
@@ -238,7 +260,7 @@ class TestExitCodes:
 _POOL = (
     "", "0", "1", "-1", "2", "0.5", "0.3+0.2i", "1/0", "1e400", "-1e400", "nan", "inf", "abc",
     "13", "30", "1000000000", "10000000000000000000000",
-    "[1]", "[[1]]", '[["a"]]', "[[1,2],[3]]", "{}", "5", '"0"', '"01"', "null", "true", "{oops",
+    "[]", "[1]", "[[1]]", '[["a"]]', "[[1,2],[3]]", "{}", "5", '"0"', '"01"', "null", "true", "{oops",
     '{"coefficients":{}}', '{"level":2,"coefficients":{"0":5}}',
     '{"level":2,"coefficients":{"0":[1]}}', '{"level":2,"coefficients":{"0":["a",1]}}',
     '{"level":2,"coefficients":{"01":[1e400,0]}}', '{"level":2.5,"coefficients":{}}',
