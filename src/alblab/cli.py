@@ -256,6 +256,7 @@ def _h_hodge_rmf(hodge, args, cfg):
     weights = _loads(args.weights)
     expect(isinstance(weights, dict), "--weights maps integer weights to lists of vectors")
     wdata = {int(k): _rational_rows(vs, f"weight {k}", len(mat)) for k, vs in weights.items()}
+    hodge.check_rmf_bits(mat, [v for vs in wdata.values() for v in vs])   # before W's elimination
     w = hodge.WeightFiltrationGeneric.from_dict(wdata, len(mat))
     m = hodge.relative_monodromy_filtration(mat, w)
     if m is None:

@@ -289,6 +289,25 @@ def check_rmf_dim(dim: int) -> None:
         raise DomainError(f"the dimension must be between 0 and {MAX_RMF_DIM}, got {dim}")
 
 
+MAX_RMF_BITS = 192  # dimension x bits of the widest entry; at 48 x 4 the slowest input tried takes 1.1-1.7 s in the CLI
+
+
+def check_rmf_bits(mat, vectors=()) -> None:
+    """DomainError when the dimension times the bit length of the widest entry
+    passes MAX_RMF_BITS, before N's powers and any elimination.
+
+    The entries are those of N's integer multiple (linalg.integer_matrix) and
+    of each vector's.  A k x k minor of such rows, b bits an entry, has at most
+    k(b + log2 k) bits (Hadamard), so this bounds the integers that every
+    power and elimination meets.
+    """
+    rows = linalg.integer_matrix(mat) + [linalg.integer_matrix([v])[0] for v in vectors]
+    widest = max((abs(x).bit_length() for row in rows for x in row), default=0)
+    if len(mat) * widest > MAX_RMF_BITS:
+        raise DomainError(f"the dimension times the bits of the widest entry must be at most "
+                          f"{MAX_RMF_BITS}, got {len(mat)} x {widest}")
+
+
 def _powers(mat) -> list:
     """[N^0, N^1, ..., N^m] with N^m = 0 the first vanishing power."""
     n = len(mat)
@@ -348,6 +367,7 @@ def relative_monodromy_filtration(n, w: WeightFiltrationGeneric):
     mat = _matrix_of(n)
     dim = len(mat)
     check_rmf_dim(dim)
+    check_rmf_bits(mat)
     powers = _powers(mat)   # DomainError unless N is nilpotent
     for _, sub in w.steps:
         for v in sub.rows:

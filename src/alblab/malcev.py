@@ -7,11 +7,14 @@ nilpotent Lie algebra, and Malcev coordinates of group words under
 gamma_i -> exp(e_i).
 
 The inner loops run on Python ints.  A series is taken as integer
-numerators over the lcm of its denominators (``_numerators``); products,
-exp and log concatenate numerators and sum the powers with integer
-weights over one common denominator, and the coproduct tests read a
-cached table of shuffle constraints (``_coproduct_table``) against the
-numerators.  Every coefficient handed out is a canonical Fraction.
+numerators over the lcm of its denominators (``_numerators``) and stays a
+pair (numerators, denominator) from input to output: products concatenate
+numerators, the exp and log cores (``_exp``, ``_log``) sum the powers with
+integer weights over one common denominator, BCH and group words chain
+those cores, the coproduct tests read a cached table of shuffle constraints
+(``_coproduct_table``) against the numerators, and the Hall solve runs on
+them too.  Fractions appear once, in the value handed out, and every
+coefficient handed out is a canonical Fraction.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from functools import lru_cache
 from . import linalg
 from .words import MAX_R, Word, check_word, concat_mul, shuffle_words, word_basis, word_index
 
-MAX_EXACT_LEVEL = 10  # 2047 words; the costliest level-10 call answers in about 1 s
+MAX_EXACT_LEVEL = 10  # 2047 words; the costliest level-10 call tried, a dense BCH, takes 0.6-0.9 s in the CLI
 
 
 def _check_level(level: int) -> None:
@@ -100,6 +103,14 @@ def _from_numerators(level: int, numerators: dict[Word, int], d: int) -> ExactSe
     return ExactSeries(level, {w: Fraction(n, d) for w, n in numerators.items() if n})
 
 
+def _reduced(n: dict[Word, int], d: int) -> tuple[dict[Word, int], int]:
+    """n / d with the common factor of the numerators and d divided out."""
+    g = math.gcd(d, *n.values())
+    if g == 1:
+        return n, d
+    return {w: c // g for w, c in n.items()}, d // g
+
+
 def _power_sum(j: dict[Word, int], level: int, weights: list[int]) -> dict[Word, int]:
     """sum over k = 1..level of weights[k]·j^k, j with no constant term."""
     total: dict[Word, int] = {}
@@ -113,37 +124,43 @@ def _power_sum(j: dict[Word, int], level: int, weights: list[int]) -> dict[Word,
     return total
 
 
-def exp_trunc(h: ExactSeries) -> ExactSeries:
-    """Truncated exponential; requires zero constant term.
+def _exp(n: dict[Word, int], d: int, r: int) -> tuple[dict[Word, int], int]:
+    """exp(n/d) at level r for n with no constant term, as (numerators, denominator).
 
-    With h = n/d, exp(h) = sum_k n^k / (d^k k!), taken over the one
-    denominator d^r r! at level r, so the sum runs on ints.
+    exp(n/d) = sum_k n^k / (d^k k!), taken over the one denominator
+    d^r r!, so the sum runs on ints.
     """
+    fact = math.factorial(r)
+    weights = [d ** (r - k) * (fact // math.factorial(k)) for k in range(r + 1)]
+    total = _power_sum(n, r, weights)
+    total[""] = d ** r * fact
+    return total, d ** r * fact
+
+
+def _log(n: dict[Word, int], d: int, r: int) -> tuple[dict[Word, int], int]:
+    """log(n/d) at level r for n with constant term d, as (numerators, denominator).
+
+    With n/d = 1 + j/d, log = sum_k (-1)^(k+1) j^k / (k d^k), taken over
+    the one denominator d^r lcm(1..r), so the sum runs on ints.
+    """
+    j = {w: c for w, c in n.items() if w}
+    m = math.lcm(*range(1, r + 1))
+    weights = [0] + [(-1) ** (k + 1) * d ** (r - k) * (m // k) for k in range(1, r + 1)]
+    return _power_sum(j, r, weights), d ** r * m
+
+
+def exp_trunc(h: ExactSeries) -> ExactSeries:
+    """Truncated exponential; requires zero constant term."""
     if h.coefficient("") != 0:
         raise ValueError("exp_trunc needs zero constant term")
-    r = h.level
-    n, d = _numerators(h.coeffs)
-    denom = d ** r * math.factorial(r)
-    weights = [d ** (r - k) * (math.factorial(r) // math.factorial(k)) for k in range(r + 1)]
-    total = _power_sum(n, r, weights)
-    total[""] = denom
-    return _from_numerators(r, total, denom)
+    return _from_numerators(h.level, *_exp(*_numerators(h.coeffs), h.level))
 
 
 def log_trunc(g: ExactSeries) -> ExactSeries:
-    """Truncated logarithm; requires constant term 1.
-
-    With g = 1 + n/d, log(g) = sum_k (-1)^(k+1) n^k / (k d^k), taken over
-    the one denominator d^r lcm(1..r) at level r, so the sum runs on ints.
-    """
+    """Truncated logarithm; requires constant term 1."""
     if g.coefficient("") != 1:
         raise ValueError("log_trunc needs constant term 1")
-    r = g.level
-    n, d = _numerators(g.coeffs)
-    del n[""]
-    m = math.lcm(*range(1, r + 1))
-    weights = [0] + [(-1) ** (k + 1) * d ** (r - k) * (m // k) for k in range(1, r + 1)]
-    return _from_numerators(r, _power_sum(n, r, weights), d ** r * m)
+    return _from_numerators(g.level, *_log(*_numerators(g.coeffs), g.level))
 
 
 # --- coproduct classification -------------------------------------------------
@@ -166,23 +183,27 @@ def _coproduct_table(level: int) -> tuple[tuple[int, int, tuple[tuple[int, int],
                  for iv, v in enumerate(words[iu:], iu) if len(u) + len(v) <= level)
 
 
-def _dense_numerators(s: ExactSeries) -> tuple[list[int], int]:
-    """Numerators indexed like word_basis(level), and their common denominator."""
-    n, d = _numerators(s.coeffs)
-    dense = [0] * (2 ** (s.level + 1) - 1)
-    index = word_index(s.level)
+def _dense(n: dict[Word, int], level: int) -> list[int]:
+    """Numerators indexed like word_basis(level)."""
+    dense = [0] * (2 ** (level + 1) - 1)
+    index = word_index(level)
     for w, x in n.items():
         dense[index[w]] = x
-    return dense, d
+    return dense
+
+
+def _primitive(n: dict[Word, int], level: int) -> bool:
+    """sum m·n_w = 0 over u ⧢ v for every pair, and no constant term."""
+    if n.get(""):
+        return False
+    dense = _dense(n, level)
+    return all(sum(m * dense[w] for w, m in terms) == 0
+               for _, _, terms in _coproduct_table(level))
 
 
 def is_primitive(h: ExactSeries) -> bool:
-    """sum m·h_w = 0 over u ⧢ v for every pair, tested on the numerators."""
-    if "" in h.coeffs:
-        return False
-    n, _ = _dense_numerators(h)
-    return all(sum(m * n[w] for w, m in terms) == 0
-               for _, _, terms in _coproduct_table(h.level))
+    """The coproduct test of a Lie element, on the numerators."""
+    return _primitive(_numerators(h.coeffs)[0], h.level)
 
 
 def is_grouplike(g: ExactSeries) -> bool:
@@ -190,8 +211,9 @@ def is_grouplike(g: ExactSeries) -> bool:
     d·sum m·n_w = n_u·n_v on the numerators."""
     if g.coeffs.get("") != 1:
         return False
-    n, d = _dense_numerators(g)
-    return all(d * sum(m * n[w] for w, m in terms) == n[u] * n[v]
+    n, d = _numerators(g.coeffs)
+    dense = _dense(n, g.level)
+    return all(d * sum(m * dense[w] for w, m in terms) == dense[u] * dense[v]
                for u, v, terms in _coproduct_table(g.level))
 
 
@@ -213,7 +235,10 @@ def bch(a: ExactSeries, b: ExactSeries, level: int | None = None) -> ExactSeries
         raise ValueError("level mismatch")
     if not is_primitive(a) or not is_primitive(b):
         raise ValueError("bch needs primitive inputs")
-    return log_trunc(exp_trunc(a).mul(exp_trunc(b)))
+    r = a.level
+    ea, da = _reduced(*_exp(*_numerators(a.coeffs), r))
+    eb, db = _reduced(*_exp(*_numerators(b.coeffs), r))
+    return _from_numerators(r, *_log(*_reduced(concat_mul(ea, eb, r), da * db), r))
 
 
 # --- Lyndon (Hall) bases -------------------------------------------------------
@@ -251,7 +276,13 @@ def standard_factorization(w: Word) -> tuple[Word, Word]:
 
 @lru_cache(maxsize=None)
 def bracket_expansion(w: Word) -> tuple[tuple[Word, int], ...]:
-    """Tensor-word expansion of the right-normed Lyndon bracket of w."""
+    """Tensor-word expansion of the standard bracketing P_w of a Lyndon word.
+
+    P_w = w for a letter and P_w = [P_u, P_v] for the standard factorization
+    w = u·v.  P_w is w plus words lexicographically greater than w
+    (Reutenauer, Free Lie Algebras, 1993, Thm 5.1), so on the Lyndon-word
+    columns the brackets of one degree form a unit-triangular system.
+    """
     if len(w) == 1:
         return ((w, 1),)
     u, v = standard_factorization(w)
@@ -262,6 +293,18 @@ def bracket_expansion(w: Word) -> tuple[tuple[Word, int], ...]:
             out[a + b] = out.get(a + b, 0) + ca * cb
             out[b + a] = out.get(b + a, 0) - ca * cb
     return tuple(sorted((k, c) for k, c in out.items() if c != 0))
+
+
+@lru_cache(maxsize=None)
+def _lyndon_system(degree: int) -> tuple[tuple[int, ...], ...]:
+    """Row i: the coefficients of P_l, l the i-th Lyndon word of the degree,
+    at the Lyndon words of the degree, in order; unit triangular."""
+    basis = lyndon_words(degree)
+    rows = []
+    for lw in basis:
+        exp = dict(bracket_expansion(lw))
+        rows.append(tuple(exp.get(w, 0) for w in basis))
+    return tuple(rows)
 
 
 def _check_r(r: int) -> None:
@@ -277,32 +320,47 @@ def hall_dims(r: int) -> list[int]:
 
 def hall_coordinates(h: ExactSeries) -> dict[Word, Fraction]:
     """Coordinates of a primitive in the Lyndon basis, by exact elimination."""
-    if not is_primitive(h):
+    n, d = _numerators(h.coeffs)
+    if not _primitive(n, h.level):
         raise ValueError("hall_coordinates needs a primitive element")
+    return _hall(n, d, h.level)
+
+
+def _hall(n: dict[Word, int], d: int, level: int) -> dict[Word, Fraction]:
+    """Lyndon coordinates of the primitive n/d.
+
+    Each degree is solved on its Lyndon-word columns, a unit-triangular
+    system, so the coefficients of the numerators are integers; the
+    residual on every word of the degree must then vanish.
+    """
+    by_degree: dict[int, dict[Word, int]] = {}
+    for w, x in n.items():
+        if x:
+            by_degree.setdefault(len(w), {})[w] = x
     coords: dict[Word, Fraction] = {}
-    for d in range(1, h.level + 1):
-        words_d = [w for w in word_basis(h.level) if len(w) == d]
-        target = [h.coefficient(w) for w in words_d]
-        if all(x == 0 for x in target):
+    for deg in range(1, level + 1):
+        part = by_degree.get(deg)
+        if part is None:
             continue
-        basis = lyndon_words(d)
-        vectors = []
-        for lw in basis:
-            exp = dict(bracket_expansion(lw))
-            vectors.append([exp.get(w, 0) for w in words_d])
-        sol = linalg.solve_in_span(vectors, target)
+        basis = lyndon_words(deg)
+        sol = linalg.solve_in_span(_lyndon_system(deg), [part.get(w, 0) for w in basis])
         if sol is None:
             raise AssertionError("primitive not in the Lyndon span; primitivity check is broken")
         for lw, c in zip(basis, sol):
             if c != 0:
-                coords[lw] = c
+                c = c.numerator   # an integer: the system is unit triangular
+                for w, m in bracket_expansion(lw):
+                    part[w] = part.get(w, 0) - c * m
+                coords[lw] = Fraction(c, d)
+        if any(part.values()):
+            raise AssertionError("primitive not in the Lyndon span; primitivity check is broken")
     return coords
 
 
 # --- group words and Malcev coordinates ---------------------------------------
 
 _TOKEN = re.compile(r"^([01])(?:\^(-?\d+))?$")
-MAX_WORD_LETTERS = 24  # letters of a parsed group word; coords at level 10 then take under 1.8 s
+MAX_WORD_LETTERS = 24  # letters of a parsed group word; coords at level 10 then take 0.45-0.7 s in the CLI
 
 
 @dataclass(frozen=True)
@@ -349,18 +407,32 @@ class GroupWord:
         return " ".join(g if s == 1 else f"{g}^-1" for g, s in self.letters) or "(empty)"
 
 
-def group_log(word: GroupWord | str, level: int) -> ExactSeries:
-    """log of the image of the word under gamma_i -> exp(e_i), truncated."""
+def _group_log(word: GroupWord | str, level: int) -> tuple[dict[Word, int], int]:
+    """group_log as (numerators, denominator).
+
+    exp(±e_i) is r+1 integer terms (±1)^k r!/k! over r!; the product is
+    taken a letter at a time, with the common factor divided out after each.
+    """
     _check_level(level)
     if isinstance(word, str):
         word = GroupWord.from_string(word)
-    acc = ExactSeries.unit(level)
-    for gen, s in word.letters:
-        h = ExactSeries.letter(gen, level).scale(s)
-        acc = acc.mul(exp_trunc(h))
-    return log_trunc(acc)
+    fact = math.factorial(level)
+    factors = {(gen, s): {gen * k: s ** k * (fact // math.factorial(k)) for k in range(level + 1)}
+               for gen, s in set(word.letters)}
+    acc, d = {"": 1}, 1
+    for letter in word.letters:
+        acc, d = _reduced(concat_mul(acc, factors[letter], level), d * fact)
+    return _log(acc, d, level)
+
+
+def group_log(word: GroupWord | str, level: int) -> ExactSeries:
+    """log of the image of the word under gamma_i -> exp(e_i), truncated."""
+    return _from_numerators(level, *_group_log(word, level))
 
 
 def malcev_coordinates(word: GroupWord | str, level: int) -> dict[Word, Fraction]:
     """Lyndon-basis coordinates of the group word in the level-r quotient."""
-    return hall_coordinates(group_log(word, level))
+    n, d = _group_log(word, level)
+    if not _primitive(n, level):
+        raise ValueError("hall_coordinates needs a primitive element")
+    return _hall(n, d, level)

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import alblab
 from alblab.cli import (COMMAND_TABLE, EXIT_BADJSON, EXIT_DOMAIN, EXIT_NUMERIC,
                         EXIT_OK, EXIT_USAGE, run_command)
-from alblab.hodge import MAX_RMF_DIM
+from alblab.hodge import MAX_RMF_BITS, MAX_RMF_DIM
 from alblab.malcev import MAX_WORD_LETTERS
 
 
@@ -201,6 +201,46 @@ class TestExitCodes:
         code, out = run(capsys, _rmf_argv(block))
         assert code == EXIT_OK
         assert sorted(map(int, out["filtration"])) == list(range(1 - n, n, 2))
+
+    def test_rmf_entry_size_cap(self, capsys):
+        # the dimension times the bits of the widest entry: 48 x 48 with
+        # 20-digit entries used to take 7 s
+        n = MAX_RMF_DIM
+        widest = 2 ** (MAX_RMF_BITS // n) - 1
+        for entry, expected in ((widest, EXIT_OK), (widest + 1, EXIT_DOMAIN)):
+            block = [[entry * int(j == i + 1) for j in range(n)] for i in range(n)]
+            code, out = run(capsys, _rmf_argv(block))
+            assert code == expected
+            if code == EXIT_OK:
+                assert sorted(map(int, out["filtration"])) == list(range(1 - n, n, 2))
+            else:
+                assert "bits" in out["error"]
+        # two dimensions leave room for wide entries; a denominator counts as well
+        half = MAX_RMF_BITS // 2
+        for mat, expected in (([[0, 2 ** half - 1], [0, 0]], EXIT_OK),
+                              ([[0, 2 ** half], [0, 0]], EXIT_DOMAIN),
+                              ([[0, 1], [0, f"1/{2 ** half}"]], EXIT_DOMAIN)):
+            assert run(capsys, _rmf_argv(mat))[0] == expected
+
+    def test_rmf_entry_size_cap_on_the_weights(self, capsys):
+        half = MAX_RMF_BITS // 2
+        for vec, expected in (([2 ** half - 1, 0], EXIT_OK), ([2 ** half, 0], EXIT_DOMAIN)):
+            argv = ["hodge", "rmf", "--matrix", "[[0,1],[0,0]]",
+                    "--weights", json.dumps({"-1": [vec], "1": [[1, 0], [0, 1]]})]
+            code, out = run(capsys, argv)
+            assert code == expected
+            assert "bits" in out["error"] if code else out["exists"]
+
+    def test_rmf_over_the_entry_cap_is_refused_at_once(self, capsys):
+        # not nilpotent, and 20-digit entries: refused before N's powers
+        n = MAX_RMF_DIM
+        mat = [[10 ** 19 + i + j if j > i else 0 for j in range(n)] for i in range(n)]
+        mat[n - 1][0] = 1
+        start = time.perf_counter()
+        code, out = run(capsys, _rmf_argv(mat))
+        assert time.perf_counter() - start < 0.5
+        assert code == EXIT_DOMAIN
+        assert "bits" in out["error"]
 
     def test_rmf_of_the_zero_space(self, capsys):
         # W.jumps[-1] of the empty filtration used to raise IndexError

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from alblab import linalg
 from alblab.acceptance import rmf_brute_force, rmf_profile
-from alblab.hodge import (LAMBDA, NilpotentEndo,
+from alblab.hodge import (LAMBDA, MAX_RMF_BITS, NilpotentEndo,
                           WeightFiltrationGeneric, boundary_chart_point,
                           coordinate_action, generates_nilpotent_orbit,
                           griffiths_transversal, hodge_filtration_from,
@@ -160,6 +160,15 @@ class TestRelativeMonodromy:
         w = WeightFiltrationGeneric.from_dict({0: [[1, 0], [0, 1]]}, 2)
         with pytest.raises(DomainError):
             relative_monodromy_filtration(mat, w)
+
+    def test_entry_size_cap(self):
+        # checked on the integer multiple of N, so 1/2^k counts like 2^k
+        w = WeightFiltrationGeneric.from_dict({0: [[1, 0], [0, 1]]}, 2)
+        half = MAX_RMF_BITS // 2
+        assert relative_monodromy_filtration([[0, 2 ** half - 1], [0, 0]], w) is not None
+        for mat in ([[0, 2 ** half], [0, 0]], [[0, 1], [0, Fraction(1, 2 ** half)]]):
+            with pytest.raises(DomainError, match="bits"):
+                relative_monodromy_filtration(mat, w)
 
     def test_w_preservation_required(self):
         # N maps e1 (low weight) out to e2 (high weight)

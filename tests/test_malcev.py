@@ -1,12 +1,17 @@
 """Exact truncated group-ring algebra: exp/log, coproduct classes, BCH, Hall bases."""
 
+import json
+import math
+import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alblab import linalg
+from alblab import linalg, malcev
+from alblab.cli import run_command
 from alblab.malcev import (MAX_EXACT_LEVEL, ExactSeries, GroupWord, _coproduct_table, bch,
                            bracket_expansion, classify_coproduct, exp_trunc, group_log,
                            hall_coordinates, hall_dims, is_grouplike, is_primitive,
@@ -177,6 +182,14 @@ class TestHall:
         # Witt's formula: the primitives up to level r are the free Lie algebra
         for r in (1, 2, 3, 4, 5, 6):
             assert primitive_space_dimension(r) == sum(hall_dims(r))
+
+    def test_standard_bracketing_is_unitriangular(self):
+        # P_l = l + words lexicographically greater than l: the Hall solve relies on it
+        for d in range(1, MAX_EXACT_LEVEL + 1):
+            for lw in lyndon_words(d):
+                expansion = dict(bracket_expansion(lw))
+                assert expansion.pop(lw) == 1
+                assert all(len(w) == d and w > lw for w in expansion)
 
     def test_representatives_expand_independently(self):
         from alblab.words import word_basis
@@ -366,6 +379,136 @@ class TestIntegerKernels:
             power = ExactSeries(4, reference_concat(power, j))
             log_ref = log_ref.add(power.scale(Fraction((-1) ** (k + 1), k)))
         assert log_trunc(exp_ref).coeffs == log_ref.coeffs == h.coeffs
+
+
+# --- the numerator routes against the Fraction routes they replaced ----------------
+
+def fraction_solve(vectors, target):
+    """c with sum c_i vectors_i = target, by Gauss-Jordan over Fractions; None if none."""
+    rows = [[Fraction(v[j]) for v in vectors] + [Fraction(target[j])] for j in range(len(target))]
+    pivots: list = []
+    for c in range(len(vectors)):
+        p = next((i for i in range(len(pivots), len(rows)) if rows[i][c] != 0), None)
+        if p is None:
+            continue
+        r = len(pivots)
+        rows[r], rows[p] = rows[p], rows[r]
+        rows[r] = [x / rows[r][c] for x in rows[r]]
+        for i, row in enumerate(rows):
+            if i != r and row[c] != 0:
+                rows[i] = [x - row[c] * y for x, y in zip(row, rows[r])]
+        pivots.append(c)
+    if any(row[-1] != 0 for row in rows[len(pivots):]):
+        return None
+    out = [Fraction(0)] * len(vectors)
+    for i, c in enumerate(pivots):
+        out[c] = rows[i][-1]
+    return out
+
+
+def reference_hall(h: ExactSeries) -> dict:
+    """Lyndon coordinates by elimination over all words of each degree."""
+    coords = {}
+    for d in range(1, h.level + 1):
+        words_d = [w for w in word_basis(h.level) if len(w) == d]
+        basis = lyndon_words(d)
+        vectors = [[dict(bracket_expansion(lw)).get(w, 0) for w in words_d] for lw in basis]
+        sol = fraction_solve(vectors, [h.coefficient(w) for w in words_d])
+        assert sol is not None
+        coords.update((lw, c) for lw, c in zip(basis, sol) if c != 0)
+    return coords
+
+
+def reference_group_log(word: str, level: int) -> ExactSeries:
+    """log of the ExactSeries product of exp_trunc(±e_i), a letter at a time."""
+    acc = ExactSeries.unit(level)
+    for gen, s in GroupWord.from_string(word).letters:
+        acc = acc.mul(exp_trunc(ExactSeries.letter(gen, level).scale(s)))
+    return log_trunc(acc)
+
+
+def random_group_word(rng, letters: int) -> str:
+    """A freely reduced word of the given number of letters."""
+    out: list = []
+    while len(out) < letters:
+        tok = rng.choice("01") + rng.choice(("", "^-1"))
+        inverse = tok[0] if tok.endswith("^-1") else tok + "^-1"
+        if not out or out[-1] != inverse:
+            out.append(tok)
+    return " ".join(out)
+
+
+class TestNumeratorRoutes:
+    def test_group_log_matches_the_series_product(self):
+        rng = random.Random(15)
+        for level in range(2, 9):
+            for letters in (1, 3, 6, 10):
+                word = random_group_word(rng, letters)
+                assert group_log(word, level).coeffs == reference_group_log(word, level).coeffs
+
+    def test_group_log_keeps_the_product_in_lowest_terms(self):
+        # every coefficient of a product of exp(±e_i) has a denominator dividing r!,
+        # so with the common factor divided out after each letter the accumulator's
+        # denominator d divides r! and the log's, d^r lcm(1..r), divides this bound
+        rng = random.Random(16)
+        for level in (2, 4, 6, 8):
+            bound = math.factorial(level) ** level * math.lcm(*range(1, level + 1))
+            for letters in (2, 5, 12):
+                _, d = malcev._group_log(random_group_word(rng, letters), level)
+                assert bound % d == 0
+
+    @given(lie_elements(), lie_elements())
+    @settings(max_examples=40, deadline=None)
+    def test_bch_matches_the_series_product(self, a, b):
+        b = ExactSeries(a.level, b.coeffs)
+        assert bch(a, b).coeffs == log_trunc(exp_trunc(a).mul(exp_trunc(b))).coeffs
+
+    @given(lie_elements())
+    @settings(max_examples=60, deadline=None)
+    def test_hall_coordinates_match_full_elimination(self, h):
+        coords = hall_coordinates(h)
+        assert coords == reference_hall(h)
+        assert all(type(c) is Fraction for c in coords.values())
+        # sum c_l P_l reproduces the input
+        assert lie_element(coords, h.level).coeffs == h.coeffs
+
+    def test_malcev_coordinates_match_the_reference_routes(self):
+        rng = random.Random(17)
+        for level in (3, 5, 7):
+            word = random_group_word(rng, 8)
+            assert malcev_coordinates(word, level) == reference_hall(reference_group_log(word, level))
+
+    def test_hall_solve_checks_the_residual(self, monkeypatch):
+        # past the primitivity test, a non-Lie element must still be caught:
+        # 01 alone solves the Lyndon column, but P_01 = 01 - 10 leaves 10 over
+        monkeypatch.setattr(malcev, "_primitive", lambda n, level: True)
+        with pytest.raises(AssertionError, match="Lyndon span"):
+            hall_coordinates(ExactSeries(2, {"01": Fraction(1)}))
+
+
+MALCEV_FROZEN = json.loads((Path(__file__).parent / "malcev_frozen.json").read_text())
+
+
+class TestFrozenRegression:
+    """``malcev`` CLI answers pinned from the Fraction-series implementation.
+
+    Each case is an argv, its exit code and its stdout, captured through
+    ``alblab.cli`` before the Malcev layer moved to integer numerators end
+    to end: the ``malcev coords/bch/exp/log/classify`` calls of the exact
+    benchmark's rounds for seeds 0-4 (``bench/inputs.py``, through its
+    ``cli_argv``), ``malcev coords`` of freely reduced random words of 12,
+    16, 20 and 24 letters at levels 8 and 10 (``random.Random(1515)``), and
+    seventeen edge and error cases (levels 0 and 11, a 25-letter word, a bad
+    token, the empty and the trivial word, non-primitive and mismatched
+    ``bch`` inputs, wrong constant terms, the zero series at level 10, and a
+    level-10 ``bch``).
+    """
+
+    @pytest.mark.parametrize("case", MALCEV_FROZEN["cases"],
+                             ids=lambda c: " ".join(c["argv"][:2]))
+    def test_cli_output_is_unchanged(self, capsys, case):
+        code = run_command(case["argv"])
+        assert (code, capsys.readouterr().out.strip()) == (case["exit"], case["output"])
 
 
 class TestSizeCaps:
