@@ -113,9 +113,9 @@ def _reduced(n: dict[Word, int], d: int) -> tuple[dict[Word, int], int]:
 
 def _power_sum(j: dict[Word, int], level: int, weights: list[int]) -> dict[Word, int]:
     """sum over k = 1..level of weights[k]·j^k, j with no constant term."""
-    total: dict[Word, int] = {}
-    power = {"": 1}
-    for k in range(1, level + 1):
+    total = {w: weights[1] * c for w, c in j.items()}
+    power = j
+    for k in range(2, level + 1):
         power = concat_mul(power, j, level)
         if not power:
             break
@@ -203,7 +203,7 @@ def _primitive(n: dict[Word, int], level: int) -> bool:
 
 def is_primitive(h: ExactSeries) -> bool:
     """The coproduct test of a Lie element, on the numerators."""
-    return _primitive(_numerators(h.coeffs)[0], h.level)
+    return "" not in h.coeffs and _primitive(_numerators(h.coeffs)[0], h.level)
 
 
 def is_grouplike(g: ExactSeries) -> bool:
@@ -233,11 +233,12 @@ def bch(a: ExactSeries, b: ExactSeries, level: int | None = None) -> ExactSeries
         b = ExactSeries(level, b.coeffs)
     if a.level != b.level:
         raise ValueError("level mismatch")
-    if not is_primitive(a) or not is_primitive(b):
-        raise ValueError("bch needs primitive inputs")
     r = a.level
-    ea, da = _reduced(*_exp(*_numerators(a.coeffs), r))
-    eb, db = _reduced(*_exp(*_numerators(b.coeffs), r))
+    (na, da), (nb, db) = _numerators(a.coeffs), _numerators(b.coeffs)
+    if not _primitive(na, r) or not _primitive(nb, r):
+        raise ValueError("bch needs primitive inputs")
+    ea, da = _reduced(*_exp(na, da, r))
+    eb, db = _reduced(*_exp(nb, db, r))
     return _from_numerators(r, *_log(*_reduced(concat_mul(ea, eb, r), da * db), r))
 
 
