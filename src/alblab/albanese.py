@@ -3,21 +3,23 @@
 Points of the target are unipotent-group classes recorded by reduced
 coordinates (alpha, beta, lambda); the map sends x to the class built
 from the three regularized periods log(x), -log(1-x) and the
-dilogarithm, all divided by the right powers of 2*pi*i.  Both the
-direct coordinate form and the inverse-matrix form are provided, along
-with the integer monodromy action, the extension into the boundary
-chart, and the filtration bookkeeping that makes the two generator
-actions morphisms of mixed Hodge structure.
+dilogarithm, all divided by the right powers of 2*pi*i.  Beside the map
+are the integer monodromy action, the extension into the boundary chart,
+and the logarithms N0, N1 of the two generator matrices with the
+filtration bookkeeping that makes them morphisms of mixed Hodge
+structure.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from fractions import Fraction
 from importlib import resources
 
 import numpy as np
 
+from . import linalg
 from .errors import DomainError
 from .hodge import TWO_PI_I, reduce_mod_integral
 from .integrals import (ConvergenceError, DEFAULT_CONFIG, QuadratureConfig,
@@ -77,23 +79,6 @@ def albanese_point(x, homotopy_class: str = "",
     return AlbanesePoint(*reduced, reduction=abc, loop_prefix=homotopy_class, raw=raw)
 
 
-def albanese_point_alt(x, homotopy_class: str = "",
-                       cfg: QuadratureConfig = DEFAULT_CONFIG) -> AlbanesePoint:
-    """The inverse-matrix form of the map: the class of
-
-        [[1, -alpha, lambda], [0, 1, -beta], [0, 0, 1]]^{-1}
-
-    built from the same three periods, read back off in the (beta: (1,2),
-    lambda: (1,3), alpha: (2,3)) coordinate convention and reduced."""
-    alpha, beta, lam = raw_coordinates(x, cfg, loop_prefix=homotopy_class)
-    mat = np.array([[1, -alpha, lam], [0, 1, -beta], [0, 0, 1]], dtype=complex)
-    inv = np.linalg.inv(mat)
-    raw_alt = (inv[1][2], inv[0][1], inv[0][2])
-    reduced, g = reduce_mod_integral(*raw_alt)
-    abc = (int(g[1][2]), int(g[0][1]), int(g[0][2]))
-    return AlbanesePoint(*reduced, reduction=abc, loop_prefix=homotopy_class, raw=raw_alt)
-
-
 def extended_albanese(x, cfg: QuadratureConfig = DEFAULT_CONFIG) -> tuple:
     """Chart coordinates (q, beta, lambda) of x in the boundary chart.
 
@@ -130,14 +115,21 @@ def monodromy_action(loop, cfg: QuadratureConfig = DEFAULT_CONFIG,
 
 # --- MHS morphism bookkeeping ---------------------------------------------------
 
-E23_ACTION = {
-    "N0": [[0, 0, 0], [0, 0, 1], [0, 0, 0]],   # e3 -> e2
-    "N1": [[0, 1, 0], [0, 0, 0], [0, 0, 0]],   # e2 -> e1
-}
-E24_ACTION = {
-    "N0": [[0, 1, 0], [0, 0, 0], [0, 0, 0]],   # e2 -> e1
-    "N1": [[0, 0, 0], [0, 0, 1], [0, 0, 0]],   # e3 -> e2
-}
+def monodromy_logarithms(cfg: QuadratureConfig = DEFAULT_CONFIG) -> dict:
+    """{"N0": log M0, "N1": log M1} as exact Fraction matrices, where M0 and
+    M1 are the integer continuation matrices of the loops about 0 and 1.
+
+    Both are unipotent 3 x 3 upper-triangular, so (g - 1)^3 = 0 and
+    log g = (g - 1) - (g - 1)^2 / 2.
+    """
+    logs = {}
+    for name, word in (("N0", "0"), ("N1", "1")):
+        u = [[Fraction(int(x) - (i == j)) for j, x in enumerate(row)]
+             for i, row in enumerate(monodromy_action(word, cfg))]
+        logs[name] = [[x - y / 2 for x, y in zip(row, row2)]
+                      for row, row2 in zip(u, linalg.product(u, u))]
+    return logs
+
 
 _BASIS_WEIGHTS = (-4, -2, 0)
 _BASIS_TYPES = ((-2, -2), (-1, -1), (0, 0))
@@ -158,22 +150,18 @@ def _check_operator(mat, op_weight: int, op_type: tuple) -> dict:
 
 
 def check_lie_action(action: dict) -> dict:
-    """W- and type-compatibility of an action table {N0: matrix, N1: matrix}."""
-    n0 = np.array(action["N0"])
-    n1 = np.array(action["N1"])
+    """W- and type-compatibility of an action {N0: matrix, N1: matrix}."""
+    n0, n1 = action["N0"], action["N1"]
+    bracket = [[x - y for x, y in zip(r, s)]
+               for r, s in zip(linalg.product(n1, n0), linalg.product(n0, n1))]
     report = {
         "N0": _check_operator(n0, -2, (-1, -1)),
         "N1": _check_operator(n1, -2, (-1, -1)),
-        "[N1,N0]": _check_operator(n1 @ n0 - n0 @ n1, -4, (-2, -2)),
+        "[N1,N0]": _check_operator(bracket, -4, (-2, -2)),
     }
     report["passes"] = all(v["weight_compatible"] and v["type_compatible"]
                            for k, v in report.items() if k != "passes")
     return report
-
-
-def lie_action_is_mhs_morphism() -> dict:
-    """Check both standard generator actions against the filtration data."""
-    return {"E23": check_lie_action(E23_ACTION), "E24": check_lie_action(E24_ACTION)}
 
 
 # --- frozen build-time constants --------------------------------------------------
@@ -182,8 +170,3 @@ def regression_constants() -> dict:
     with resources.files("alblab").joinpath("regression_constants.json").open() as fh:
         return json.load(fh)
 
-
-def e23_to_e24(coords: tuple) -> tuple:
-    """The frozen coordinate comparison between the two map conventions."""
-    alpha, beta, lam = coords
-    return (beta, alpha, alpha * beta - lam)

@@ -184,13 +184,6 @@ def _h_ii_regularized(integrals, args, cfg):
                                            loop_prefix=args.loop_prefix).to_json()
 
 
-def _h_ii_monodromy(albanese, args, cfg):
-    if not args.loop_word and not args.loop:
-        raise UsageError("ii monodromy needs --loop-word or --loop")
-    loop = args.loop_word if args.loop_word else _path_arg(args.loop)
-    return {"matrix": albanese.monodromy_action(loop, cfg).tolist()}
-
-
 def _h_malcev_exp(malcev, args, cfg):
     return {"series": malcev.exp_trunc(_series_arg(malcev, args.series, args.level)).to_json()}
 
@@ -286,21 +279,16 @@ def _h_alb_map(albanese, args, cfg):
     return albanese.albanese_point(parse_complex(args.x), args.loop_prefix, cfg).to_json()
 
 
-def _h_alb_map_alt(albanese, args, cfg):
-    return albanese.albanese_point_alt(parse_complex(args.x), args.loop_prefix, cfg).to_json()
-
-
 def _h_alb_extend(albanese, args, cfg):
     q, beta, lam = albanese.extended_albanese(parse_complex(args.x), cfg)
     return {"q": _cjson(q), "beta": _cjson(beta), "lambda": _cjson(lam)}
 
 
 def _h_alb_monodromy(albanese, args, cfg):
-    return {"matrix": albanese.monodromy_action(args.word, cfg).tolist()}
-
-
-def _h_alb_mhs_check(albanese, args, cfg):
-    return albanese.lie_action_is_mhs_morphism()
+    if (args.word is None) == (args.loop is None):
+        raise UsageError("alb monodromy takes exactly one of --word and --loop")
+    loop = args.word if args.loop is None else _path_arg(args.loop)
+    return {"matrix": albanese.monodromy_action(loop, cfg).tolist()}
 
 
 def _h_selftest(acceptance, args, cfg):
@@ -337,9 +325,6 @@ COMMAND_TABLE = {
                               [("--x", dict(required=True)),
                                ("--level", dict(type=int, default=2)),
                                ("--loop-prefix", dict(default="", dest="loop_prefix"))]),
-    "monodromy_matrix": ("ii monodromy", _h_ii_monodromy, "albanese",
-                         [("--loop", dict(default="")),
-                          ("--loop-word", dict(default="", dest="loop_word"))]),
     "exp_trunc": ("malcev exp", _h_malcev_exp, "malcev",
                   [("--series", dict(required=True)), ("--level", dict(type=int, default=None))]),
     "log_trunc": ("malcev log", _h_malcev_log, "malcev",
@@ -372,13 +357,9 @@ COMMAND_TABLE = {
     "albanese_point": ("alb map", _h_alb_map, "albanese",
                        [("--x", dict(required=True)),
                         ("--loop-prefix", dict(default="", dest="loop_prefix"))]),
-    "albanese_point_alt": ("alb map-alt", _h_alb_map_alt, "albanese",
-                           [("--x", dict(required=True)),
-                            ("--loop-prefix", dict(default="", dest="loop_prefix"))]),
     "extended_albanese": ("alb extend", _h_alb_extend, "albanese", [("--x", dict(required=True))]),
     "monodromy_action": ("alb monodromy", _h_alb_monodromy, "albanese",
-                         [("--word", dict(required=True))]),
-    "lie_action_is_mhs_morphism": ("alb mhs-check", _h_alb_mhs_check, "albanese", []),
+                         [("--word", dict(default=None)), ("--loop", dict(default=None))]),
     "selftest": ("selftest", _h_selftest, "acceptance",
                  [("--level", dict(default="quick", choices=["quick", "full"]))]),
 }

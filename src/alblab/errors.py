@@ -60,10 +60,7 @@ def parse_complex(text: str) -> complex:
 @dataclass(frozen=True)
 class QuadratureConfig:
     abs_tol: float = 1e-10
-    max_subdivisions: int = 10
 
     def __post_init__(self):
         if not (math.isfinite(self.abs_tol) and self.abs_tol > 0):
             raise DomainError(f"abs_tol must be positive and finite, got {self.abs_tol}")
-        if self.max_subdivisions < 1:
-            raise DomainError("max_subdivisions must be positive")

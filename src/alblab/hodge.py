@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import linalg
-from .errors import DomainError
+from .errors import ConvergenceError, DomainError
 
 CRITERION_TOL = 1e-12
 TWO_PI_I = 2j * math.pi
@@ -256,8 +256,13 @@ def generates_nilpotent_orbit(n: NilpotentEndo, f: HodgeFiltration) -> OrbitResu
         criterion = abs(complex(defect)) <= CRITERION_TOL
     transversal = griffiths_transversal(n, f)
     if criterion != transversal:
-        raise RuntimeError(
-            f"criterion and transversality disagree at N={n}, coords={(alpha, beta, lam)}")
+        where = f"N={n}, coords={(alpha, beta, lam)}"
+        if _is_exact(alpha, beta, lam):
+            raise RuntimeError(f"criterion and transversality disagree at {where}")
+        # the absolute tolerance and the relative rank test part ways near it
+        raise ConvergenceError(
+            f"criterion defect {abs(complex(defect)):.3g} is too close to the tolerance "
+            f"{CRITERION_TOL:g} for the rank test of transversality to agree, at {where}")
     m = relative_monodromy_filtration(n, LAMBDA.weights)
     admissible = m is not None
     generates = criterion and admissible

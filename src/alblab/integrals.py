@@ -52,6 +52,7 @@ DEFAULT_CONFIG = QuadratureConfig()
 _CC_NODES = 41      # Chebyshev-Lobatto nodes per panel (degree 40)
 _PANEL_TOL = 1e-3   # tail allowed per panel, as a fraction of abs_tol
 _MAX_PANELS = 4096  # panel evaluations one transport may spend before it gives up
+_MAX_REFINEMENTS = 10  # panel doublings the nested quadrature may spend before it gives up
 _NOISE = 64 * np.finfo(float).eps   # tail that rounding alone leaves, relative to the forcing
 
 
@@ -213,7 +214,7 @@ def _refined_quadrature(path: Path, word: Word, cfg: QuadratureConfig) -> tuple[
         return 1.0 + 0j, 0.0
     panels = 2
     prev = _nested_quadrature(path, word, panels)
-    for _ in range(cfg.max_subdivisions):
+    for _ in range(_MAX_REFINEMENTS):
         panels *= 2
         cur = _nested_quadrature(path, word, panels)
         err = abs(cur - prev)
@@ -221,7 +222,7 @@ def _refined_quadrature(path: Path, word: Word, cfg: QuadratureConfig) -> tuple[
             return cur, err
         prev = cur
     raise ConvergenceError(
-        f"quadrature did not reach {cfg.abs_tol:g} within {cfg.max_subdivisions} refinements")
+        f"quadrature did not reach {cfg.abs_tol:g} within {_MAX_REFINEMENTS} refinements")
 
 
 # --- the tangential base point -----------------------------------------------------

@@ -340,10 +340,7 @@ class Path:
         return self.start_anchor is None and self.end_anchor is None
 
     def concat(self, other: "Path") -> "Path":
-        if self.end_anchor is not None or other.start_anchor is not None:
-            raise DomainError("cannot concatenate across a tangential anchor")
-        if abs(self.end - other.start) > _CHAIN_TOL:
-            raise DomainError("paths do not chain")
+        _check_junction(self, other)
         return Path(self.segments + other.segments, self.start_anchor, other.end_anchor)
 
     def reversed(self) -> "Path":
@@ -362,6 +359,14 @@ class Path:
 
         segs = tuple(ReparametrizedSegment(s, warp, warp_deriv) for s in self.segments)
         return Path(segs, self.start_anchor, self.end_anchor)
+
+
+def _check_junction(first: Path, second: Path) -> None:
+    """DomainError unless ``second`` can follow ``first``."""
+    if first.end_anchor is not None or second.start_anchor is not None:
+        raise DomainError("cannot concatenate across a tangential anchor")
+    if abs(first.end - second.start) > _CHAIN_TOL:
+        raise DomainError("paths do not chain")
 
 
 def loop_gamma0(turns: int = 1, radius: float = JUNCTION_RADIUS) -> Path:
@@ -399,10 +404,10 @@ def make_path(spec) -> Path:
         if not spec["compose"]:
             raise DomainError("compose needs a non-empty list of path specs")
         parts = [make_path(s) for s in spec["compose"]]
-        path = parts[0]
-        for p in parts[1:]:
-            path = path.concat(p)
-        return path
+        for a, b in zip(parts, parts[1:]):
+            _check_junction(a, b)
+        return Path(tuple(seg for p in parts for seg in p.segments),
+                    parts[0].start_anchor, parts[-1].end_anchor)
 
     if "loop" in spec:
         turns = spec.get("turns", 1)

@@ -31,3 +31,20 @@ def test_corrupted_tolerance_reports_failures():
     assert not result.passed
     assert result.failures > 0
     assert result.max_error > result.tolerance
+
+
+def test_mhs_criterion_reads_the_computed_generators(monkeypatch):
+    # an extra (1,3) entry in the loop about 0 puts a wrong Hodge type into log M0
+    import alblab.albanese as albanese
+    from alblab.acceptance import criterion_mhs_morphism
+    true_action = albanese.monodromy_action
+
+    def shifted(word, cfg):
+        g = true_action(word, cfg)
+        if word == "0":
+            g[0][2] += 1
+        return g
+
+    monkeypatch.setattr(albanese, "monodromy_action", shifted)
+    result = criterion_mhs_morphism(DEFAULT_CONFIG)
+    assert not result.passed and result.failures == 1

@@ -2,16 +2,17 @@
 
 import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from alblab.albanese import (E23_ACTION, E24_ACTION, albanese_point,
-                             albanese_point_alt, check_lie_action, e23_to_e24,
-                             extended_albanese,
-                             lie_action_is_mhs_morphism, monodromy_action,
-                             raw_coordinates, regression_constants)
-from alblab.hodge import TWO_PI_I, boundary_chart_point, reduce_mod_integral
+from alblab import linalg
+from alblab.albanese import (albanese_point, check_lie_action, extended_albanese,
+                             monodromy_action, monodromy_logarithms, raw_coordinates,
+                             regression_constants)
+from alblab.hodge import (TWO_PI_I, boundary_chart_point, coordinate_action,
+                          reduce_mod_integral, unipotent_matrix)
 from alblab.paths import DomainError
 
 LI2_HALF = math.pi ** 2 / 12 - math.log(2) ** 2 / 2
@@ -107,26 +108,38 @@ class TestAlbanesePoint:
         assert above.distance(below) < 1e-7
 
 
-class TestAlternativeForm:
-    def test_frozen_comparison_rule(self, cfg, rng):
-        frozen = regression_constants()["e23_to_e24"]["rule"]
-        assert "alpha' = beta" in frozen
-        checked = 0
-        while checked < 20:
-            x = complex(rng.uniform(0.15, 0.85), rng.uniform(-0.6, 0.6))
-            if abs(x) < 0.05 or abs(x - 1) < 0.05:
-                continue
-            raw = raw_coordinates(x, cfg)
-            predicted, _ = reduce_mod_integral(*e23_to_e24(raw))
-            alt = albanese_point_alt(x, cfg=cfg)
-            assert max(abs(a - b) for a, b in zip(alt.coords, predicted)) < 1e-8
-            checked += 1
+def _other_convention(alpha, beta, lam):
+    """Coordinates of the same class read off the inverse matrix."""
+    return beta, alpha, alpha * beta - lam
 
-    def test_alt_monodromy_stability(self, cfg):
-        x = 0.35 + 0.2j
-        base = albanese_point_alt(x, cfg=cfg)
-        looped = albanese_point_alt(x, homotopy_class="1", cfg=cfg)
-        assert base.distance(looped) < 1e-8
+
+def _random_rationals(rng, n):
+    return [Fraction(int(rng.integers(-50, 51)), int(rng.integers(1, 20))) for _ in range(n)]
+
+
+class TestAlternativeForm:
+    """The inverse-matrix convention is a coordinate change, checked exactly."""
+
+    def test_frozen_comparison_rule(self, rng):
+        # [[1, -alpha, lambda], [0, 1, -beta], [0, 0, 1]]^-1 read at (2,3), (1,2)
+        # and (1,3) is (beta, alpha, alpha*beta - lambda)
+        for _ in range(50):
+            alpha, beta, lam = _random_rationals(rng, 3)
+            mat = [[1, -alpha, lam], [0, 1, -beta], [0, 0, 1]]
+            inverse = unipotent_matrix(*_other_convention(alpha, beta, lam))
+            identity = [[int(i == j) for j in range(3)] for i in range(3)]
+            assert linalg.product(mat, inverse) == identity
+            assert linalg.product(inverse, mat) == identity
+
+    def test_alt_monodromy_stability(self, rng):
+        # the change turns the integer action by (a, b, c) into the action by
+        # (b, a, ab - c), so reduced classes agree in either convention
+        for _ in range(50):
+            coords = _random_rationals(rng, 3)
+            a, b, c = (int(v) for v in rng.integers(-5, 6, size=3))
+            moved = _other_convention(*coordinate_action(unipotent_matrix(a, b, c), coords))
+            assert moved == coordinate_action(unipotent_matrix(b, a, a * b - c),
+                                              _other_convention(*coords))
 
 
 class TestMonodromyAction:
@@ -141,8 +154,7 @@ class TestMonodromyAction:
 
     def test_commutator_is_central_shift(self, cfg):
         g = monodromy_action("0 1 0^-1 1^-1", cfg)
-        assert g[1][2] == 0 and g[0][1] == 0
-        assert abs(g[0][2]) == 1
+        assert g.tolist() == regression_constants()["monodromy_matrices"]["commutator"]
 
     def test_homomorphy(self, cfg):
         g0 = monodromy_action("0", cfg)
@@ -210,26 +222,35 @@ class TestPathIndependence:
 
 
 class TestMHSMorphism:
-    def test_both_tables_pass(self):
-        report = lie_action_is_mhs_morphism()
-        assert report["E23"]["passes"] and report["E24"]["passes"]
+    """log M0 and log M1 of the computed generator matrices against W and the types."""
 
-    def test_tables_are_the_expected_maps(self):
-        n0 = np.array(E23_ACTION["N0"])
-        e3 = np.array([0, 0, 1])
-        assert (n0 @ e3 == np.array([0, 1, 0])).all()   # e3 -> e2
-        n1 = np.array(E24_ACTION["N1"])
-        assert (n1 @ e3 == np.array([0, 1, 0])).all()
+    def test_both_tables_pass(self, cfg):
+        report = check_lie_action(monodromy_logarithms(cfg))
+        assert report["passes"]
 
-    def test_perturbed_action_detected(self):
-        perturbed = {"N0": [[0, 0, 1], [0, 0, 1], [0, 0, 0]], "N1": E23_ACTION["N1"]}
+    def test_tables_are_the_expected_maps(self, cfg):
+        logs = monodromy_logarithms(cfg)
+        assert logs["N0"] == [[0, 0, 0], [0, 0, 1], [0, 0, 0]]    # e3 -> e2
+        assert logs["N1"] == [[0, -1, 0], [0, 0, 0], [0, 0, 0]]   # e2 -> -e1
+        assert all(isinstance(x, Fraction) for n in logs.values() for row in n for x in row)
+
+    def test_logarithm_subtracts_half_the_square(self, cfg, monkeypatch):
+        # a generator matrix with (g - 1)^2 != 0, as at higher level
+        import alblab.albanese as albanese
+        monkeypatch.setattr(albanese, "monodromy_action",
+                            lambda word, cfg: np.array([[1, 1, 0], [0, 1, 1], [0, 0, 1]]))
+        assert monodromy_logarithms(cfg)["N0"] == [[0, 1, Fraction(-1, 2)], [0, 0, 1], [0, 0, 0]]
+
+    def test_perturbed_action_detected(self, cfg):
+        perturbed = {"N0": [[0, 0, 1], [0, 0, 1], [0, 0, 0]],
+                     "N1": monodromy_logarithms(cfg)["N1"]}
         report = check_lie_action(perturbed)
         assert report["N0"]["weight_compatible"]        # image stays in low weights
         assert not report["N0"]["type_compatible"]      # but mixes Hodge types
         assert not report["passes"]
 
-    def test_weight_violation_detected(self):
-        bad = {"N0": [[0, 0, 0], [0, 0, 0], [0, 1, 0]], "N1": E23_ACTION["N1"]}
+    def test_weight_violation_detected(self, cfg):
+        bad = {"N0": [[0, 0, 0], [0, 0, 0], [0, 1, 0]], "N1": monodromy_logarithms(cfg)["N1"]}
         assert not check_lie_action(bad)["N0"]["weight_compatible"]
 
 

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alblab import linalg
+from alblab import hodge, linalg
 from alblab.acceptance import rmf_brute_force, rmf_profile
 from alblab.hodge import (LAMBDA, MAX_RMF_BITS, NilpotentEndo,
                           WeightFiltrationGeneric, boundary_chart_point,
@@ -20,6 +20,7 @@ from alblab.hodge import (LAMBDA, MAX_RMF_BITS, NilpotentEndo,
                           reduce_mod_integral,
                           relative_monodromy_filtration, unipotent_matrix,
                           verify_relative_monodromy)
+from alblab.errors import ConvergenceError
 from alblab.paths import DomainError
 
 frac = st.fractions(min_value=-4, max_value=4, max_denominator=5)
@@ -111,6 +112,20 @@ class TestOrbitCriterion:
             n = NilpotentEndo(*(Fraction(int(rng.integers(-3, 4))) for _ in range(3)))
             f = hodge_filtration_from(*(Fraction(int(rng.integers(-3, 4))) for _ in range(3)))
             assert generates_nilpotent_orbit(n, f).admissible
+
+    def test_float_disagreement_at_the_tolerance_is_numerical(self):
+        # c = 1.2e-12 fails the absolute 1e-12 criterion, but the relative
+        # rank test sees a transversal pair
+        f = hodge_filtration_from(0.0, 0.0, 0.0)
+        with pytest.raises(ConvergenceError, match="tolerance 1e-12"):
+            generates_nilpotent_orbit(NilpotentEndo(1, 0, Fraction(1.2e-12)), f)
+
+    def test_exact_disagreement_stays_a_hard_error(self, monkeypatch):
+        monkeypatch.setattr(hodge, "griffiths_transversal", lambda n, f: False)
+        f = hodge_filtration_from(Fraction(0), Fraction(0), Fraction(0))
+        with pytest.raises(RuntimeError, match="disagree") as info:
+            generates_nilpotent_orbit(NilpotentEndo(0, 0, 0), f)
+        assert not isinstance(info.value, ConvergenceError)
 
 
 class TestPureMonodromy:

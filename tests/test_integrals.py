@@ -58,6 +58,21 @@ class TestMakePath:
             make_path({"compose": [{"waypoints": [0.25, 0.5]},
                                    {"waypoints": [0.6, 0.7]}]})
 
+    def test_compose_checks_every_junction(self):
+        ok = [{"waypoints": [0.25, 0.5]}, {"waypoints": [0.5, 0.25]}]
+        with pytest.raises(DomainError, match="paths do not chain"):
+            make_path({"compose": ok + [{"waypoints": [0.3, 0.4]}]})
+        anchored = {"tangential_start": {"at": 0}, "waypoints": [0.25]}
+        with pytest.raises(DomainError, match="across a tangential anchor"):
+            make_path({"compose": ok + [anchored]})
+
+    def test_compose_keeps_the_outer_anchors(self):
+        start = {"tangential_start": {"at": 0}, "waypoints": [0.25]}
+        end = {"waypoints": [0.25, 0.5], "tangential_end": {"at": 1}}
+        path = make_path({"compose": [start, {"waypoints": [0.25, 0.5, 0.25]}, end]})
+        assert path.start_anchor.puncture == 0 and path.end_anchor.puncture == 1
+        assert len(path.segments) == 5 and (path.start, path.end) == (0, 1)
+
     def test_segment_through_puncture_rejected(self):
         with pytest.raises(DomainError):
             make_path({"waypoints": [[0.5, 0], [1.5, 0]]})
@@ -123,12 +138,12 @@ class TestIteratedIntegral:
             direct = iterated_integral(w, path, cfg)
             assert abs(direct - sig.coefficient(w)) < 10 * cfg.abs_tol
 
-    def test_non_convergence_raises(self):
-        cfg = QuadratureConfig(abs_tol=1e-10, max_subdivisions=1)
+    def test_non_convergence_raises(self, monkeypatch):
+        monkeypatch.setattr(integrals, "_MAX_REFINEMENTS", 1)
         # a single refinement round cannot resolve a near-singular sweep
         path = make_path({"waypoints": [[0.5, 1e-3], [0.999, 1e-3], [0.5, 0.5]]})
-        with pytest.raises(ConvergenceError):
-            iterated_integral("11", path, cfg)
+        with pytest.raises(ConvergenceError, match="within 1 refinements"):
+            iterated_integral("11", path, QuadratureConfig(abs_tol=1e-10))
 
 
 class TestSignature:
