@@ -13,12 +13,12 @@ from __future__ import annotations
 import argparse
 import importlib
 import json
-import os
 import re
 import sys
 from fractions import Fraction
 
-from .errors import BadJson, ConvergenceError, DomainError, QuadratureConfig, expect, parse_complex
+from .errors import (BadJson, ConvergenceError, DomainError, QuadratureConfig, expect, is_json_int,
+                     is_json_number, parse_complex)
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -54,7 +54,8 @@ _EXPONENT = re.compile(r"[eE][+-]?0*(\d{5,})")   # Fraction("1e9999999") takes s
 
 def _fraction(value) -> Fraction:
     """A rational from JSON: an integer, a float or a string Fraction reads."""
-    expect(isinstance(value, (int, float, str)), f"expected a rational number, got {value!r}")
+    expect(isinstance(value, str) or is_json_number(value),
+           f"expected a rational number, got {value!r}")
     if isinstance(value, str) and _EXPONENT.search(value):
         raise DomainError(f"exponent too large in {value!r}")
     try:
@@ -86,7 +87,7 @@ def _series_arg(malcev, text: str, level: int | None):
     data = _loads(text)
     if isinstance(data, dict) and "coefficients" in data:
         level, data = data.get("level"), data["coefficients"]
-        expect(isinstance(level, int), f"series level must be an integer, got {level!r}")
+        expect(is_json_int(level), f"series level must be an integer, got {level!r}")
     elif level is None:
         raise DomainError("bare coefficient maps need --level")
     return malcev.ExactSeries(level, _rational_map(data, "series coefficients"))
@@ -111,25 +112,6 @@ def _rational_rows(data, what: str, width: int) -> list:
     return [[_fraction(x) for x in row] for row in data]
 
 
-def _form_table_arg(words, text: str):
-    """{"degree": {letter: int}, "d": {letter: {symbol: rational}},
-    "wedge": {"a,b": {symbol: rational}}}, every key optional."""
-    raw = _loads(text)
-    expect(isinstance(raw, dict), "the form table must be a JSON object")
-    degree = raw.get("degree", {"0": 1, "1": 1})
-    d, wedge = raw.get("d", {}), raw.get("wedge", {})
-    expect(isinstance(degree, dict) and isinstance(d, dict) and isinstance(wedge, dict)
-           and all(isinstance(v, int) for v in degree.values()),
-           "degree maps letters to integers; d and wedge are JSON objects")
-    pairs = {tuple(k.split(",")): v for k, v in wedge.items()}
-    if any(len(pair) != 2 or not set(pair) <= degree.keys() for pair in pairs):
-        raise DomainError('wedge keys are pairs "a,b" of letters with a degree')
-    return words.SymbolicFormTable(
-        degree=dict(degree),
-        d={k: _rational_map(v, "a derivative") for k, v in d.items()},
-        wedge={pair: _rational_map(v, "a wedge") for pair, v in pairs.items()})
-
-
 # --- handlers --------------------------------------------------------------------
 
 def _h_words_basis(words, args, cfg):
@@ -140,21 +122,6 @@ def _h_words_basis(words, args, cfg):
 def _h_words_shuffle(words, args, cfg):
     out = words.shuffle_product(_shuffle_arg(words, args.a), _shuffle_arg(words, args.b))
     return {"product": out.to_json()}
-
-
-def _h_words_deconcat(words, args, cfg):
-    return {"splittings": [[u, v] for u, v in words.deconcat_coproduct(args.word)]}
-
-
-def _h_words_dbar(words, args, cfg):
-    table = _form_table_arg(words, args.table) if args.table else words.SymbolicFormTable.default()
-    word = tuple(args.word.split()) if " " in args.word else args.word
-    missing = sorted(set(word) - table.degree.keys())
-    if missing:
-        raise DomainError(f"letters missing from the form table: {missing}")
-    terms = words.bar_differential(word, table)
-    return {"terms": [{"word": list(k), "coefficient": str(c)}
-                      for k, c in sorted(terms.items())]}
 
 
 def _h_ii_path(paths, args, cfg):
@@ -310,10 +277,6 @@ COMMAND_TABLE = {
     "word_basis": ("words basis", _h_words_basis, "words", [("--r", dict(type=int, required=True))]),
     "shuffle_product": ("words shuffle", _h_words_shuffle, "words",
                         [("--a", dict(required=True)), ("--b", dict(required=True))]),
-    "deconcat_coproduct": ("words deconcat", _h_words_deconcat, "words",
-                           [("--word", dict(required=True))]),
-    "bar_differential": ("words dbar", _h_words_dbar, "words",
-                         [("--word", dict(required=True)), ("--table", dict(default=""))]),
     "make_path": ("ii path", _h_ii_path, "paths", [("--spec", dict(required=True))]),
     "iterated_integral": ("ii eval", _h_ii_eval, "integrals",
                           [("--word", dict(required=True)), ("--path", dict(required=True))]),
@@ -367,16 +330,8 @@ COMMAND_TABLE = {
 
 _DISPATCH = {tuple(row[0].split()): row for row in COMMAND_TABLE.values()}
 
-_GLOBAL_FLAGS = [("--abs-tol", dict(type=float, default=None, dest="abs_tol"))]
-
-
-def _build_config(ns) -> QuadratureConfig:
-    """The global flags' config; QuadratureConfig rejects a bad abs_tol (exit 1)."""
-    abs_tol = ns.abs_tol
-    if abs_tol is None:
-        env = os.environ.get("ALBLAB_TOL")
-        abs_tol = float(env) if env else 1e-10
-    return QuadratureConfig(abs_tol=abs_tol)
+_GLOBAL_FLAGS = [("--abs-tol", dict(type=float, dest="abs_tol",
+                                    default=QuadratureConfig.abs_tol))]
 
 
 # exception -> exit code; DomainError is a ValueError
@@ -418,7 +373,7 @@ def _run(argv):
     for flag, kwargs in flags + _GLOBAL_FLAGS:
         parser.add_argument(flag, **kwargs)
     ns = parser.parse_args(rest)
-    cfg = _build_config(ns)
+    cfg = QuadratureConfig(abs_tol=ns.abs_tol)   # rejects a bad abs_tol (exit 1)
     return handler(importlib.import_module(f"{__package__}.{module}"), ns, cfg), EXIT_OK
 
 

@@ -29,13 +29,24 @@ def expect(shape_ok: bool, message: str) -> None:
         raise BadJson(message)
 
 
+def is_json_int(value) -> bool:
+    """An int that is not a bool: Python reads JSON true and false as ints."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def is_json_number(value, kind=numbers.Real) -> bool:
+    """A number of the kind, real by default, that is not a bool."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
 def as_complex(value) -> complex:
     """A number, an [re, im] pair of reals or an 're+imi' string."""
     if isinstance(value, str):
         return parse_complex(value)
     pair = isinstance(value, (list, tuple))
-    expect(len(value) == 2 and all(isinstance(v, numbers.Real) for v in value) if pair
-           else isinstance(value, numbers.Number), f"expected a number or [re, im], got {value!r}")
+    expect(len(value) == 2 and all(is_json_number(v) for v in value) if pair
+           else is_json_number(value, numbers.Number),
+           f"expected a number or [re, im], got {value!r}")
     try:
         return complex(*value) if pair else complex(value)
     except OverflowError as exc:

@@ -21,11 +21,10 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, as_complex, expect
+from .errors import DomainError, as_complex, expect, is_json_int
 
 PUNCTURES = (0.0 + 0j, 1.0 + 0j)
 JUNCTION_RADIUS = 0.125   # base point of interior loops, on the positive real axis
@@ -242,45 +241,6 @@ class LogSegment:
 
 
 @dataclass(frozen=True)
-class ReparametrizedSegment:
-    """Segment composed with an increasing smooth warp of [0, 1] (vectorized)."""
-
-    base: object
-    warp: Callable[[float], float]
-    warp_deriv: Callable[[float], float]
-
-    def point(self, t: float) -> complex:
-        return self.base.point(self.warp(t))
-
-    def deriv(self, t: float) -> complex:
-        return self.base.deriv(self.warp(t)) * self.warp_deriv(t)
-
-    def reversed(self):
-        raise DomainError("reversal of reparametrized segments is not supported")
-
-    @property
-    def start(self) -> complex:
-        return self.base.start
-
-    @property
-    def end(self) -> complex:
-        return self.base.end
-
-    def speed_near(self, p: complex) -> float:
-        return self.base.speed_near(p)
-
-    def min_distance(self, p: complex) -> float:
-        return self.base.min_distance(p)
-
-    def forms(self, t: np.ndarray, u: np.ndarray):
-        """The base forms pulled back along the warp (which must accept arrays)."""
-        w = self.warp(t)
-        dw = self.warp_deriv(t)
-        f0, f1 = self.base.forms(w, 1 - w)
-        return f0 * dw, f1 * dw
-
-
-@dataclass(frozen=True)
 class TangentialAnchor:
     puncture: int          # 0 or 1
     vector: complex = 1.0  # nonzero tangent direction
@@ -347,19 +307,6 @@ class Path:
         return Path(tuple(s.reversed() for s in reversed(self.segments)),
                     self.end_anchor, self.start_anchor)
 
-    def reparametrized(self, amount: float = 0.3) -> "Path":
-        """Smooth orientation-preserving warp of every segment (for invariance tests)."""
-
-        def warp(t: float) -> float:
-            return t + amount * np.sin(np.pi * t) * t * (1 - t)
-
-        def warp_deriv(t: float) -> float:
-            return 1 + amount * (np.pi * np.cos(np.pi * t) * t * (1 - t)
-                                 + np.sin(np.pi * t) * (1 - 2 * t))
-
-        segs = tuple(ReparametrizedSegment(s, warp, warp_deriv) for s in self.segments)
-        return Path(segs, self.start_anchor, self.end_anchor)
-
 
 def _check_junction(first: Path, second: Path) -> None:
     """DomainError unless ``second`` can follow ``first``."""
@@ -411,7 +358,7 @@ def make_path(spec) -> Path:
 
     if "loop" in spec:
         turns = spec.get("turns", 1)
-        expect(isinstance(turns, int) and abs(turns) <= 2 ** 53,
+        expect(is_json_int(turns) and abs(turns) <= 2 ** 53,
                f"turns must be an integer of size at most 2**53, got {turns!r}")
         name = spec["loop"]
         if name == "gamma0":
@@ -444,7 +391,7 @@ def make_path(spec) -> Path:
 def _parse_anchor(data) -> TangentialAnchor | None:
     if data is None:
         return None
-    expect(isinstance(data, dict) and isinstance(data.get("at"), int),
+    expect(isinstance(data, dict) and is_json_int(data.get("at")),
            'a tangential anchor is {"at": 0|1, "vector": [re, im]}')
     return TangentialAnchor(data["at"], as_complex(data.get("vector", [1, 0])))
 

@@ -13,7 +13,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError, as_complex, expect
+from .errors import DomainError, as_complex, expect, is_json_int
 from .words import Word, check_word, series_exp, shuffle_words, word_index
 from .words import concat_mul  # noqa: F401  (the sparse product keeps its name series.concat_mul)
 
@@ -116,7 +116,7 @@ class TruncatedSeries:
     def from_json(cls, data) -> "TruncatedSeries":
         """Read {"level": r, "coefficients": {word: [re, im], ...}}; the level
         is checked before anything is allocated."""
-        expect(isinstance(data, dict) and isinstance(data.get("level"), int)
+        expect(isinstance(data, dict) and is_json_int(data.get("level"))
                and isinstance(data.get("coefficients"), dict)
                and all(isinstance(c, list) for c in data["coefficients"].values()),
                'a series is {"level": r, "coefficients": {word: [re, im], ...}}')

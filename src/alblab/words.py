@@ -5,9 +5,9 @@ stands for the form dz/z and "1" for dz/(1-z).  The empty string is the
 empty word, so serialization of a word is the identity map and the
 canonical ordering is shortlex (length, then "0" < "1").
 
-Coefficients are exact rationals throughout: the shuffle and
-deconcatenation identities proved here serve as oracles for the
-floating-point integral routines and must hold on the nose.  The sparse
+Coefficients are exact rationals throughout: the shuffle identities
+proved here serve as oracles for the floating-point integral routines
+and must hold on the nose.  The sparse
 concatenation product ``concat_mul`` of word dicts serves both sides:
 the Python-int numerators of the Malcev module and the one-letter log
 of ``series.exp_letter``.
@@ -151,12 +151,6 @@ def shuffle_product(a: ShuffleElement, b: ShuffleElement) -> ShuffleElement:
     return ShuffleElement(out)
 
 
-def deconcat_coproduct(w: Word) -> list[tuple[Word, Word]]:
-    """All len(w)+1 splittings (prefix, suffix) of w, in order."""
-    check_word(w)
-    return [(w[:k], w[k:]) for k in range(len(w) + 1)]
-
-
 # --- sparse concatenation product -------------------------------------------
 
 Coeffs = dict[Word, object]
@@ -192,100 +186,3 @@ def series_exp(h: Coeffs, level: int) -> Coeffs:
             out[w] = out.get(w, 0) + c / fact
     return out
 
-
-# --- symbolic bar differential ----------------------------------------------
-
-FormalLetters = dict[str, Fraction]  # symbol name -> coefficient
-BarWord = tuple[str, ...]  # word over the extended symbol alphabet
-
-
-def _clean(terms: FormalLetters) -> FormalLetters:
-    return {k: Fraction(v) for k, v in terms.items() if v != 0}
-
-
-@dataclass
-class SymbolicFormTable:
-    """Symbolic exterior derivatives and wedges of the letters.
-
-    ``degree`` assigns each letter its form degree (default 1),
-    ``d`` its exterior derivative as a formal sum of symbols, and
-    ``wedge`` the product of an ordered pair of letters.  Wedges are
-    completed by graded antisymmetry; on the default table for the
-    thrice-punctured line every derivative and wedge vanishes, because
-    both forms are closed and products of 1-forms vanish on a curve.
-    """
-
-    degree: dict[str, int] = field(default_factory=lambda: {"0": 1, "1": 1})
-    d: dict[str, FormalLetters] = field(default_factory=dict)
-    wedge: dict[tuple[str, str], FormalLetters] = field(default_factory=dict)
-
-    def __post_init__(self):
-        self.d = {k: _clean(v) for k, v in self.d.items()}
-        completed: dict[tuple[str, str], FormalLetters] = {}
-        for (a, b), terms in self.wedge.items():
-            terms = _clean(terms)
-            completed[(a, b)] = terms
-            sign = (-1) ** (self.letter_degree(a) * self.letter_degree(b))
-            flipped = {k: sign * v for k, v in terms.items()}
-            if (b, a) in self.wedge:
-                if _clean(self.wedge[(b, a)]) != flipped:
-                    raise ValueError(f"wedge table not graded-antisymmetric at ({a},{b})")
-            completed.setdefault((b, a), flipped)
-        self.wedge = completed
-
-    def letter_degree(self, letter: str) -> int:
-        if letter not in self.degree:
-            raise KeyError(f"letter {letter!r} missing from form table")
-        return self.degree[letter]
-
-    def derivative(self, letter: str) -> FormalLetters:
-        self.letter_degree(letter)
-        return self.d.get(letter, {})
-
-    def wedge_of(self, a: str, b: str) -> FormalLetters:
-        self.letter_degree(a)
-        self.letter_degree(b)
-        return self.wedge.get((a, b), {})
-
-    @classmethod
-    def default(cls) -> "SymbolicFormTable":
-        return cls()
-
-
-def bar_differential(w, table: SymbolicFormTable | None = None) -> dict[BarWord, Fraction]:
-    """Symbolic differential of the iterated integral of the word ``w``.
-
-    Two sums: one term per letter with the letter replaced by its
-    derivative, one term per adjacent pair replaced by its wedge, with
-    signs (-1)**(nu[j-1]+1) and (-1)**(nu[j]+1) where nu[j] accumulates
-    (degree - 1) over the first j letters.  Degree-1 letters make every
-    nu vanish, so on the default table the result is identically zero:
-    this is the symbolic form of homotopy invariance on a curve.
-
-    ``w`` may be a plain word string or a tuple of symbol names.
-    """
-    if table is None:
-        table = SymbolicFormTable.default()
-    letters: BarWord = tuple(w) if not isinstance(w, tuple) else w
-    degs = [table.letter_degree(ch) for ch in letters]
-    r = len(letters)
-    nu = [0] * (r + 1)
-    for j in range(1, r + 1):
-        nu[j] = nu[j - 1] + (degs[j - 1] - 1)
-
-    out: dict[BarWord, Fraction] = {}
-
-    def accumulate(word: BarWord, coeff: Fraction):
-        if coeff != 0:
-            out[word] = out.get(word, Fraction(0)) + coeff
-
-    for j in range(1, r + 1):
-        sign = Fraction((-1) ** (nu[j - 1] + 1))
-        for sym, c in table.derivative(letters[j - 1]).items():
-            accumulate(letters[: j - 1] + (sym,) + letters[j:], sign * c)
-    for j in range(1, r):
-        sign = Fraction((-1) ** (nu[j] + 1))
-        for sym, c in table.wedge_of(letters[j - 1], letters[j]).items():
-            accumulate(letters[: j - 1] + (sym,) + letters[j + 1:], sign * c)
-
-    return {word: c for word, c in out.items() if c != 0}

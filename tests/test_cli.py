@@ -3,6 +3,8 @@
 import json
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 import time
@@ -45,8 +47,6 @@ def _fresh_python(code: str, *args: str, stdin: str | None = None):
 _ONE_VALID_CALL = {
     "word_basis": ["words", "basis", "--r", "2"],
     "shuffle_product": ["words", "shuffle", "--a", '{"01":"1/2","1":"3"}', "--b", '"10"'],
-    "deconcat_coproduct": ["words", "deconcat", "--word", "011"],
-    "bar_differential": ["words", "dbar", "--word", "01"],
     "make_path": ["ii", "path", "--spec", '{"waypoints":[[0.25,0],[0.5,0]]}'],
     "iterated_integral": ["ii", "eval", "--word", "0", "--path", '{"loop":"gamma0","turns":1}'],
     "signature": ["ii", "signature", "--path", '{"waypoints":[[0.25,0],[0.5,0]]}'],
@@ -70,6 +70,35 @@ _ONE_VALID_CALL = {
     "extended_albanese": ["alb", "extend", "--x", "0.1"],
     "monodromy_action": ["alb", "monodromy", "--loop", '{"loop":"gamma1","turns":1}'],
 }
+
+
+def _readme_examples() -> list:
+    """(argv, comment) of each `alblab ...` line in README's sh blocks, with
+    backslash continuations joined.  The selftest lines are left to the
+    acceptance tests, and batch mode (piped in by echo) to TestBatch."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    lines = "".join(re.findall(r"```sh\n(.*?)```", readme, re.S)).replace("\\\n", " ")
+    examples = []
+    for line in lines.splitlines():
+        if line.startswith("alblab ") and not line.startswith("alblab selftest"):
+            command, _, comment = line.partition(" #")
+            examples.append((shlex.split(command)[1:], comment.strip()))
+    return examples
+
+
+class TestReadme:
+    @pytest.mark.parametrize("argv, comment", [
+        pytest.param(argv, comment, id=f"{k}-{' '.join(argv[:2])}")
+        for k, (argv, comment) in enumerate(_readme_examples())])
+    def test_example_runs(self, capsys, argv, comment):
+        # a comment that is a whole JSON document is the example's exact output
+        assert run_command(argv) == EXIT_OK
+        out = capsys.readouterr().out.strip()
+        try:
+            expected = json.loads(comment)
+        except ValueError:
+            return
+        assert out == json.dumps(expected, sort_keys=True, separators=(",", ":"))
 
 
 class TestSpecExamples:
@@ -177,15 +206,33 @@ class TestExitCodes:
         code, _ = run(capsys, ["ii", "eval", "--word", "0"])
         assert code == EXIT_USAGE
 
-    def test_non_finite_tolerance(self, capsys, monkeypatch):
+    def test_non_finite_tolerance(self, capsys):
         for tol in ("nan", "inf"):
             code, out = run(capsys, ["alb", "map", "--x", "0.5", "--abs-tol", tol])
             assert code == EXIT_DOMAIN
             assert "finite" in out["error"]
-        monkeypatch.setenv("ALBLAB_TOL", "nan")
-        code, out = run(capsys, ["alb", "map", "--x", "0.5"])
-        assert code == EXIT_DOMAIN
-        assert "finite" in out["error"]
+
+    @pytest.mark.parametrize("argv", [
+        ["malcev", "exp", "--series", '{"level":true,"coefficients":{"0":"1"}}'],
+        ["malcev", "bch", "--a", '{"level":true,"coefficients":{"0":"1"}}',
+         "--b", '{"level":1,"coefficients":{"1":"1"}}'],
+        ["malcev", "exp", "--series", '{"0":true}', "--level", "2"],
+        ["words", "shuffle", "--a", '{"01":false}', "--b", '"0"'],
+        ["ii", "compose", "--a", '{"level":true,"coefficients":{"":[1,0]}}',
+         "--b", '{"level":1,"coefficients":{"":[1,0]}}'],
+        ["ii", "compose", "--a", '{"level":1,"coefficients":{"":[true,false]}}',
+         "--b", '{"level":1,"coefficients":{"":[1,0]}}'],
+        ["ii", "path", "--spec", '{"loop":"gamma0","turns":true}'],
+        ["ii", "path", "--spec", '{"waypoints":[[true,false],[0.5,0]]}'],
+        ["ii", "path", "--spec", '{"waypoints":[true,0.5]}'],
+        ["ii", "path", "--spec", '{"tangential_start":{"at":true,"vector":[1,0]},"waypoints":[0.5]}'],
+    ], ids=["exp-level", "bch-level", "exp-rational", "shuffle-rational", "compose-level",
+            "compose-pair", "turns", "waypoint-pair", "waypoint", "anchor-at"])
+    def test_json_booleans_are_not_numbers(self, capsys, argv):
+        # Python reads JSON true and false as the ints 1 and 0
+        code, out = run(capsys, argv)
+        assert code == EXIT_BADJSON
+        assert set(out) == {"error"}
 
     def test_size_caps(self, capsys):
         # each of these used to run out of time or memory
@@ -377,21 +424,24 @@ class TestSubcommands:
         assert out["product"] == {"001": "2", "010": "1"}
 
     def test_words_deconcat(self, capsys):
+        # retired: it listed the splittings of a word, and nothing read them
         code, out = run(capsys, ["words", "deconcat", "--word", "10"])
-        assert out["splittings"] == [["", "10"], ["1", "0"], ["10", ""]]
+        assert code == EXIT_USAGE
+        assert "unknown subcommand" in out["error"]
 
     def test_words_dbar_default_zero(self, capsys):
+        # retired: both forms of the curve are closed and their wedges vanish,
+        # so the bar differential of every word was zero
         code, out = run(capsys, ["words", "dbar", "--word", "01"])
-        assert out["terms"] == []
+        assert code == EXIT_USAGE
+        assert "unknown subcommand" in out["error"]
 
     def test_words_dbar_symbolic(self, capsys):
-        table = json.dumps({"degree": {"a": 1, "b": 1, "eta": 2, "theta": 2},
-                            "d": {"a": {"eta": "1"}},
-                            "wedge": {"a,b": {"theta": "1"}}})
+        # retired with it: form tables of other symbols say nothing about the curve
+        table = json.dumps({"degree": {"a": 1, "b": 1, "eta": 2}, "d": {"a": {"eta": "1"}}})
         code, out = run(capsys, ["words", "dbar", "--word", "a b", "--table", table])
-        assert code == EXIT_OK
-        assert {"word": ["eta", "b"], "coefficient": "-1"} in out["terms"]
-        assert {"word": ["theta"], "coefficient": "-1"} in out["terms"]
+        assert code == EXIT_USAGE
+        assert "unknown subcommand" in out["error"]
 
     def test_ii_path(self, capsys):
         code, out = run(capsys, ["ii", "path", "--spec", '{"loop":"gamma1","turns":1}'])
@@ -538,7 +588,7 @@ class TestSubcommands:
 class TestCoverage:
     def test_every_operation_has_one_subcommand(self):
         expected_ops = {
-            "word_basis", "shuffle_product", "deconcat_coproduct", "bar_differential",
+            "word_basis", "shuffle_product",
             "make_path", "iterated_integral", "signature", "compose_signatures",
             "regularized_signature",
             "exp_trunc", "log_trunc", "classify_coproduct", "bch", "hall_dims",
@@ -608,10 +658,13 @@ class TestBatch:
 
 class TestEnvironment:
     def test_env_tolerance_override(self, capsys, monkeypatch):
-        monkeypatch.setenv("ALBLAB_TOL", "1e-6")
-        code, out = run(capsys, ["ii", "eval", "--word", "0",
-                                 "--path", '{"waypoints":[[0.25,0],[0.5,0]]}'])
-        assert code == EXIT_OK
+        # retired: --abs-tol is the one way to set the tolerance
+        argv = ["alb", "map", "--x", "0.5"]
+        assert run_command(argv) == EXIT_OK
+        plain = capsys.readouterr().out
+        monkeypatch.setenv("ALBLAB_TOL", "nan")
+        assert run_command(argv) == EXIT_OK
+        assert capsys.readouterr().out == plain
 
     def test_import_leaves_scipy_out(self):
         proc = _fresh_python("import alblab.cli, sys; print('scipy' in sys.modules)")

@@ -1,4 +1,5 @@
-"""Exact word algebra: shuffle, deconcatenation, symbolic differential."""
+"""Word algebra: the shortlex basis, exact shuffles and their size caps,
+the deconcatenation behind the series product, and JSON."""
 
 import gc
 import math
@@ -10,9 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alblab.words import (MAX_RIFFLES, MAX_SHUFFLE_LETTERS, ShuffleElement, SymbolicFormTable,
-                          bar_differential, deconcat_coproduct, shuffle_product,
-                          shuffle_words, word_basis)
+from alblab.series import _split_table
+from alblab.words import (MAX_RIFFLES, MAX_SHUFFLE_LETTERS, ShuffleElement, shuffle_product,
+                          shuffle_words, word_basis, word_index)
 
 word_strategy = st.text(alphabet="01", max_size=5)
 
@@ -158,64 +159,30 @@ class TestShuffleCaps:
             shuffle_product(ShuffleElement.from_word(long + "0"), ShuffleElement.from_word(""))
 
 
+def splittings(w: str, level: int) -> list:
+    """The splittings (u, v) of w listed in w's row of the series product's
+    split table, without the padding."""
+    left, right = _split_table(level)
+    words = word_basis(level)
+    row = word_index(level)[w]
+    return [(words[i], words[j]) for i, j in zip(left[row], right[row]) if i < len(words)]
+
+
 class TestDeconcat:
     def test_empty(self):
-        assert deconcat_coproduct("") == [("", "")]
+        assert splittings("", 3) == [("", "")]
 
     def test_single(self):
-        assert deconcat_coproduct("0") == [("", "0"), ("0", "")]
+        assert splittings("0", 3) == [("", "0"), ("0", "")]
 
     def test_two_letters(self):
-        assert deconcat_coproduct("10") == [("", "10"), ("1", "0"), ("10", "")]
+        assert splittings("10", 3) == [("", "10"), ("1", "0"), ("10", "")]
 
     def test_coassociative(self):
         for w in word_basis(5):
-            left = [(a, b, c) for a, bc in deconcat_coproduct(w)
-                    for b, c in deconcat_coproduct(bc)]
-            right = [(a, b, c) for ab, c in deconcat_coproduct(w)
-                     for a, b in deconcat_coproduct(ab)]
+            left = [(a, b, c) for a, bc in splittings(w, 5) for b, c in splittings(bc, 5)]
+            right = [(a, b, c) for ab, c in splittings(w, 5) for a, b in splittings(ab, 5)]
             assert sorted(left) == sorted(right)
-
-
-class TestBarDifferential:
-    def test_single_letter_default(self):
-        assert bar_differential("0") == {}
-
-    def test_two_letter_default(self):
-        assert bar_differential("01") == {}
-
-    def test_vanishes_on_basis(self):
-        for w in word_basis(4):
-            assert bar_differential(w) == {}
-
-    def test_symbolic_example(self):
-        table = SymbolicFormTable(
-            degree={"a": 1, "b": 1, "eta": 2, "theta": 2},
-            d={"a": {"eta": Fraction(1)}},
-            wedge={("a", "b"): {"theta": Fraction(1)}})
-        out = bar_differential(("a", "b"), table)
-        assert out == {("eta", "b"): Fraction(-1), ("theta",): Fraction(-1)}
-
-    def test_degree_signs(self):
-        # a 2-form letter before a 1-form letter flips the second sign
-        table = SymbolicFormTable(
-            degree={"p": 2, "b": 1, "eta": 3, "theta": 3},
-            d={"b": {"eta": Fraction(1)}},
-            wedge={("p", "b"): {"theta": Fraction(1)}})
-        out = bar_differential(("p", "b"), table)
-        # nu_0 = 0, nu_1 = 1: d-term on b gets sign (-1)^(nu_1+1) = +1,
-        # wedge term gets (-1)^(nu_1+1) = +1
-        assert out == {("p", "eta"): Fraction(1), ("theta",): Fraction(1)}
-
-    def test_missing_letter_rejected(self):
-        with pytest.raises(KeyError):
-            bar_differential(("z",), SymbolicFormTable())
-
-    def test_wedge_antisymmetry_enforced(self):
-        with pytest.raises(ValueError):
-            SymbolicFormTable(
-                degree={"a": 1, "b": 1, "t": 2},
-                wedge={("a", "b"): {"t": Fraction(1)}, ("b", "a"): {"t": Fraction(1)}})
 
 
 class TestSerialization:
