@@ -50,6 +50,7 @@ def _cjson(z) -> list:
 
 _RATIONAL = re.compile(r"^[+-]?\d+(/\d+)?$")
 _EXPONENT = re.compile(r"[eE][+-]?0*(\d{5,})")   # Fraction("1e9999999") takes seconds
+_WEIGHT = re.compile(r"[+-]?[0-9]{1,4300}")   # int() refuses longer digit strings
 
 
 def _fraction(value) -> Fraction:
@@ -215,7 +216,11 @@ def _h_hodge_rmf(hodge, args, cfg):
     hodge.check_rmf_dim(len(mat))   # before W's elimination
     weights = _loads(args.weights)
     expect(isinstance(weights, dict), "--weights maps integer weights to lists of vectors")
+    for k in weights:
+        expect(_WEIGHT.fullmatch(k) is not None,
+               f"--weights keys must be decimal integers, got {k!r}")
     wdata = {int(k): _rational_rows(vs, f"weight {k}", len(mat)) for k, vs in weights.items()}
+    expect(len(wdata) == len(weights), "--weights names the same weight twice")
     hodge.check_rmf_bits(mat, [v for vs in wdata.values() for v in vs])   # before W's elimination
     w = hodge.WeightFiltrationGeneric.from_dict(wdata, len(mat))
     m = hodge.relative_monodromy_filtration(mat, w)

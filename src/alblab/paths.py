@@ -1,12 +1,15 @@
 """Piecewise-smooth paths in C \\ {0, 1}.
 
 A path is a chain of parametrized arcs (line segments, circular arcs,
-and geometric "log" segments that interpolate multiplicatively), each
-mapped from [0, 1].  Endpoints may carry tangential anchors at the
-punctures 0 or 1; everything in between must stay away from both
-punctures.  Named loops "gamma0"/"gamma1" are the standard interior
-representatives of the two generating loops, based on the positive real
-axis at the junction radius.
+and "log" segments that interpolate multiplicatively about the puncture
+0 or 1), each mapped from [0, 1].  Endpoints may carry tangential
+anchors at the punctures 0 or 1; everything in between must stay away
+from both punctures.  Named loops "gamma0"/"gamma1" are the standard
+interior representatives of the two generating loops, based on the
+positive real axis at the junction radius.  ``canonical_reach`` is the
+standard path from the junction point to a target; it ends on a log
+segment about the puncture the target is near, where the form with its
+pole there is constant.
 
 Besides ``point``/``deriv`` (one parameter at a time, for the direct
 quadrature), every segment supplies its two forms ``dz/z`` and
@@ -28,7 +31,7 @@ from .errors import DomainError, as_complex, expect, is_json_int
 
 PUNCTURES = (0.0 + 0j, 1.0 + 0j)
 JUNCTION_RADIUS = 0.125   # base point of interior loops, on the positive real axis
-LOOP1_RADIUS = 0.25       # radius of the circle around 1 inside gamma1
+LOOP1_RADIUS = 0.25       # radius of the circle around 1 inside gamma1, and of the spiral reach
 _CHAIN_TOL = 1e-12
 
 
@@ -173,32 +176,44 @@ class CircularArc:
 
 @dataclass(frozen=True)
 class LogSegment:
-    """Multiplicative interpolation z(t) = z0 * (z1/z0)**t.
+    """Multiplicative interpolation about a centre c of 0 or 1:
+    z(t) = c + (z0 - c) * ((z1 - c)/(z0 - c))**t.
 
-    On a ray through the origin this is the radial segment with constant
-    dz/z, which removes the boundary layer of the transport equation on
-    approaches to the puncture 0.
+    The form with a pole at the centre is the constant rate on it: dz/z
+    about 0, -dz/(1-z) about 1.  On a ray through the centre this is the
+    radial segment, which removes the boundary layer of the transport
+    equation on approaches to that puncture; otherwise it is a log-spiral
+    of at most a half turn, and a half turn passes above the centre.
     """
 
     z0: complex
     z1: complex
+    center: float = 0.0
 
     def __post_init__(self):
-        if self.z0 == 0 or self.z1 == 0:
-            raise DomainError("log segment endpoint at 0")
+        if self.center not in (0, 1):
+            raise DomainError("a log segment is centred on a puncture")
+        if self.z0 == self.center or self.z1 == self.center:
+            raise DomainError(f"log segment endpoint at its centre {self.center:g}")
 
     @cached_property
     def _rate(self) -> complex:
-        return _log_ratio(self.z1, self.z0)
+        rate = _log_ratio(self.z1 - self.center, self.z0 - self.center)
+        if abs(rate.imag) == math.pi:
+            # a half turn, whose principal log follows the signs of zero: pass
+            # above the centre, so that the reversed segment retraces it
+            return complex(rate.real, math.copysign(math.pi, (self.z0 - self.center).real))
+        return rate
 
     def point(self, t: float) -> complex:
-        return self.z0 * cmath.exp(self._rate * t)
+        c = self.center
+        return c + (self.z0 - c) * cmath.exp(self._rate * t)
 
     def deriv(self, t: float) -> complex:
-        return self.point(t) * self._rate
+        return (self.point(t) - self.center) * self._rate
 
     def reversed(self) -> "LogSegment":
-        return LogSegment(self.z1, self.z0)
+        return LogSegment(self.z1, self.z0, self.center)
 
     @property
     def start(self) -> complex:
@@ -209,21 +224,26 @@ class LogSegment:
         return self.z1
 
     def speed_near(self, p: complex) -> float:
-        """|dz/dt| where the segment passes p: |rate| |z|, with z about p."""
-        return abs(self._rate) * abs(p)
+        """|dz/dt| where the segment passes p: |rate| |z - c|, with z about p."""
+        return abs(self._rate) * abs(p - self.center)
 
     def min_distance(self, p: complex) -> float:
+        c, rate = self.center, self._rate
         ends = min(abs(self.z0 - p), abs(self.z1 - p))
-        rate = self._rate
+        # |z - c| is monotone along the segment, so z stays in the annulus of
+        # the end radii; where that alone keeps p as far as the nearer end, done
+        r0, r1 = abs(self.z0 - c), abs(self.z1 - c)
+        q = abs(p - c)
+        if max(q - max(r0, r1), min(r0, r1) - q) >= ends:
+            return ends
         if abs(rate.imag) <= 1e-14 * max(1.0, abs(rate.real)):
-            # radial: |z| is monotone along the ray, so project p onto it
-            e = self.z0 / abs(self.z0)
-            s = (p * e.conjugate()).real
-            lo, hi = sorted((abs(self.z0), abs(self.z1)))
-            return abs((p * e.conjugate()).imag) if lo < s < hi else ends
-        # a spiral of less than half a turn: sample, then refine the best bracket
+            # radial: project p onto the ray
+            e = (self.z0 - c) / r0
+            v = (p - c) * e.conjugate()
+            return abs(v.imag) if min(r0, r1) < v.real < max(r0, r1) else ends
+        # a spiral of at most half a turn: sample, then refine the best bracket
         ts = np.linspace(0.0, 1.0, 65)
-        k = int(np.argmin(np.abs(self.z0 * np.exp(rate * ts) - p)))
+        k = int(np.argmin(np.abs(c + (self.z0 - c) * np.exp(rate * ts) - p)))
         lo, hi = ts[max(k - 1, 0)], ts[min(k + 1, 64)]
         for _ in range(60):
             m1, m2 = lo + (hi - lo) / 3, hi - (hi - lo) / 3
@@ -234,10 +254,13 @@ class LogSegment:
         return min(ends, abs(self.point((lo + hi) / 2) - p))
 
     def forms(self, t: np.ndarray, u: np.ndarray):
-        """(dz/z, dz/(1-z)) at the parameters t, with u = 1 - t; dz/z is the constant rate."""
-        rate = self._rate
-        z, omz, _ = _spiral(self.z0, self.z1, 0.0, rate, t, u)
-        return np.full(t.shape, rate), rate * (z / omz)
+        """(dz/z, dz/(1-z)) at the parameters t, with u = 1 - t; the one with
+        its pole at the centre is the constant (-)rate."""
+        c, rate = self.center, self._rate
+        z, omz, w = _spiral(self.z0, self.z1, c, rate, t, u)
+        if c == 0:
+            return np.full(t.shape, rate), rate * (z / omz)
+        return rate * (w / z), np.full(t.shape, -rate)
 
 
 @dataclass(frozen=True)
@@ -400,30 +423,31 @@ def canonical_reach(x: complex, junction: float = JUNCTION_RADIUS,
                     detour: float = LOOP1_RADIUS) -> Path:
     """Deterministic interior path from the junction point to x.
 
-    Rotate along the junction circle to the principal argument of x,
-    then move radially.  A ray that passes within rho = min(detour,
+    A target within ``detour`` of 1 is reached along the real axis to
+    1 - detour and then on one log-spiral about 1, which sweeps arg(x - 1)
+    on the target's side: above 1 for real targets beyond 1 (whatever the
+    sign of their zero imaginary part), radially for real targets below 1.
+    dz/(1-z) is constant on the spiral, so the transport's panels grow
+    only with log log(1/|x - 1|).  Any other target is reached by
+    rotating along the junction circle to the principal argument of x and
+    then moving radially; a ray that passes within rho = min(detour,
     |x - 1|/2) of 1 goes around 1 on an arc of radius rho, on the side of
-    the target (above 1 for real targets beyond 1), which keeps its
-    homotopy class and keeps every segment rho away from 1.  The choice
-    fixes one homotopy class per target, which loop prefixes then act on.
-    A target so close to 1 that dz/(1-z) there exceeds the float range
-    (1 + 1e-310i) is rejected.
+    the target, which keeps every segment rho away from 1.  Both fix one
+    homotopy class per target, which loop prefixes then act on.
     """
     x = complex(x)
     if not math.isfinite(math.hypot(x.real, x.imag)):
         raise DomainError("target must be finite, with a modulus below the float range")
     if x == 0 or x == 1:
         raise DomainError("target is a puncture")
+    if abs(x - 1) < detour:
+        return Path((LogSegment(junction, 1 - detour), LogSegment(1 - detour, x, 1.0)))
     theta = math.atan2(x.imag, x.real)   # cmath.phase raises where the angle underflows
     segs: list = []
     if abs(theta) > 1e-15:
         segs.append(CircularArc(0.0, junction, 0.0, theta))
     ray_start = junction * cmath.exp(1j * theta)
     rho = min(detour, abs(x - 1) / 2)
-    if 1 + rho == 1:
-        # the arc's far end 1 + rho would round onto 1; the circle through x
-        # ends the arc at x itself (one ulp beyond 1 on the real axis)
-        rho = abs(x - 1)
     if math.cos(theta) > 0 and abs(math.sin(theta)) < rho and abs(x) > math.cos(theta):
         # the ray meets the circle |z - 1| = rho at radii cos(theta) -+ h
         h = math.sqrt(rho * rho - math.sin(theta) ** 2)
@@ -441,11 +465,6 @@ def canonical_reach(x: complex, junction: float = JUNCTION_RADIUS,
         segs.append(LogSegment(ray_start, x))
     if not segs:
         segs.append(LineSegment(ray_start, ray_start))  # constant path
-    with np.errstate(over="ignore", invalid="ignore"):
-        end_forms = segs[-1].forms(np.ones(1), np.zeros(1))
-    if not np.isfinite(end_forms).all():
-        raise DomainError(f"dz/(1-z) at the target exceeds the float range: x lies "
-                          f"{abs(x - 1):.1e} from the puncture 1")
     return Path(tuple(segs))
 
 

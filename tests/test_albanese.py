@@ -91,9 +91,27 @@ class TestAlbanesePoint:
         assert max(abs(a - b) for a, b in zip(p.raw, expected)) < cfg.abs_tol
 
     def test_target_beyond_the_float_range_of_the_forms(self, cfg):
-        # dz/(1-z) is 2e310 at 1 + 1e-310 i: rejected, naming the limit
-        with pytest.raises(DomainError, match="float range"):
-            albanese_point(1 + 1e-310j, cfg=cfg)
+        # dz/(1-z) on a ray would be 2e310 at 1 + 1e-310 i; on the spiral about 1
+        # it is the constant -log(4e-310) + i pi/2, so the target is answered
+        x = 1 + 1e-310j
+        expected = (cmath.log(x) / TWO_PI_I, -cmath.log(1 - x) / TWO_PI_I,
+                    li2(x) / TWO_PI_I ** 2)
+        p = albanese_point(x, cfg=cfg)
+        assert max(abs(a - b) for a, b in zip(p.raw, expected)) < cfg.abs_tol
+
+    @pytest.mark.parametrize("k", (1, 3, 7, 12, 15, 16, 60, 300))
+    def test_raw_coordinates_next_to_one(self, cfg, k):
+        # around 1 on both sides, along the real axis on both sides of 1 (beyond
+        # 1 the reach passes above it), closed forms with Li2 by reflection
+        d = 10.0 ** -k
+        targets = [1 + d * cmath.exp(1j * a) for a in (0.7, -0.7, 2.0, -2.9, math.pi / 2)]
+        targets += [complex(1 + d, 0.0), complex(1 + d, -0.0), 1 - d]
+        for x in (x for x in targets if x != 1):
+            side = complex(x.real, 1e-300) if x.imag == 0 and x.real > 1 else x
+            expected = (cmath.log(side) / TWO_PI_I, -cmath.log(1 - side) / TWO_PI_I,
+                        li2(side) / TWO_PI_I ** 2)
+            raw = raw_coordinates(x, cfg)
+            assert max(abs(a - b) for a, b in zip(raw, expected)) < cfg.abs_tol
 
     def test_junction_point_target(self, cfg):
         # the standard path degenerates to a constant tail there

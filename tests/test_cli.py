@@ -168,13 +168,22 @@ class TestExitCodes:
             assert "finite" in out["error"]
 
     def test_next_to_one(self, capsys):
-        # one ulp beyond 1 is answered; 1e-310 from 1 is past the float range
-        # of dz/(1-z) and is rejected with the limit named
-        code, _ = run(capsys, ["alb", "map", "--x", "1.0000000000000002"])
-        assert code == EXIT_OK
-        code, out = run(capsys, ["alb", "map", "--x", "1+1e-310j"])
-        assert code == EXIT_DOMAIN
-        assert "float range" in out["error"]
+        # one ulp beyond 1 and 1e-310 above it are both reached on the spiral
+        # about 1; beta = -log(1 - x)/(2 pi i) reduces to its class mod 1
+        for x, log_omx in (("1.0000000000000002", complex(math.log(2 ** -52), -math.pi)),
+                           ("1+1e-310j", complex(math.log(1e-310), -math.pi / 2))):
+            code, out = run(capsys, ["alb", "map", "--x", x])
+            assert code == EXIT_OK
+            beta = -log_omx / (2j * math.pi)
+            assert abs(complex(*out["beta"]) - complex(beta.real % 1, beta.imag)) < 1e-9
+
+    @pytest.mark.parametrize("key", ("x", "1_0"))
+    def test_weight_keys_are_decimal_integers(self, capsys, key):
+        # int() alone would read "1_0" as the weight 10 and fail on "x" with its own message
+        code, out = run(capsys, ["hodge", "rmf", "--matrix", "[[0]]",
+                                 "--weights", json.dumps({key: [[1]]})])
+        assert code == EXIT_BADJSON
+        assert "--weights" in out["error"]
 
     def test_nilpotent_arity(self, capsys):
         for sub in ("orbit", "transversal"):

@@ -342,6 +342,44 @@ class TestSizeCaps:
                 call()
 
 
+def _near_one(k: int) -> list:
+    """Targets 10^-k from 1: above, below, and on the real axis where a float resolves them."""
+    d = 10.0 ** -k
+    return [x for x in (1 + 1j * d, 1 - 1j * d, 1 + d, 1 - d) if x != 1]
+
+
+class TestReachNearOne:
+    def test_panel_count(self, cfg, monkeypatch):
+        # dz/(1-z) is constant on the spiral about 1, so the panels do not
+        # grow with 1/|x - 1| (49 at 1 + 1e-7 on a radial reach); the pole of
+        # dz/z at 0, log 4 e-folds before the spiral's start, adds two panels
+        # per doubling of log(1/|x - 1|) below 1e-15: 10 at 1e-16, 18 at 1e-300
+        calls = []
+        panel = integrals._panel
+
+        def counted(*args):
+            calls.append(1)
+            return panel(*args)
+        monkeypatch.setattr(integrals, "_panel", counted)
+        for k in range(1, 301):
+            for x in _near_one(k):
+                calls.clear()
+                regularized_signature(x, 2, cfg)
+                assert len(calls) <= (8 if k <= 15 else 18), (x, len(calls))
+
+    @pytest.mark.parametrize("k", (1, 7, 15, 100, 300))
+    def test_one_letter_words(self, cfg, k):
+        # S(0^j) = log(x)^j / j! and S(1^j) = (-log(1 - x))^j / j!, with 1 - x
+        # of argument -pi for real targets beyond 1 (the reach passes above)
+        for x in _near_one(k):
+            side = complex(x.real, 1e-300) if x.imag == 0 and x.real > 1 else x
+            sig = regularized_signature(x, 8, cfg)
+            for letter, log in (("0", cmath.log(side)), ("1", -cmath.log(1 - side))):
+                for j in range(1, 9):
+                    exact = log ** j / math.factorial(j)
+                    assert abs(sig.coefficient(letter * j) - exact) < 1e-12 * max(1, abs(exact))
+
+
 class TestRegularized:
     def test_half_closed_forms(self, cfg):
         sig = regularized_signature(0.5, 2, cfg)
