@@ -187,7 +187,10 @@ def _random_rmf_instance(rng):
     return mat, w
 
 
-def _lattice_subspaces(mat, w: WeightFiltrationGeneric, cap: int = 160):
+LATTICE_CAP = 160   # subspaces _lattice_subspaces collects before it stops closing
+
+
+def _lattice_subspaces(mat, w: WeightFiltrationGeneric):
     """Closed-ish lattice of subspaces generated by W, kernels, and images.
 
     ``mat`` is an integer matrix; the subspaces are canonical values, so a
@@ -216,11 +219,11 @@ def _lattice_subspaces(mat, w: WeightFiltrationGeneric, cap: int = 160):
                     if combo not in seen:
                         seen[combo] = None
                         new.append(combo)
-                if len(seen) > cap:
+                if len(seen) > LATTICE_CAP:
                     break
-            if len(seen) > cap:
+            if len(seen) > LATTICE_CAP:
                 break
-        if not new or len(seen) > cap:
+        if not new or len(seen) > LATTICE_CAP:
             break
     return list(seen)
 
@@ -250,7 +253,7 @@ def rmf_profile(mat, w: WeightFiltrationGeneric) -> dict[int, int]:
     return {k: d for k, d in profile.items() if d}
 
 
-def rmf_brute_force(mat, w: WeightFiltrationGeneric, cap: int = 160):
+def rmf_brute_force(mat, w: WeightFiltrationGeneric):
     """All filtrations satisfying both characterizing conditions, found by
     searching nested chains in a lattice of natural subspaces.  Dimension
     profiles are forced by the graded Jordan data (``rmf_profile``), which
@@ -265,7 +268,7 @@ def rmf_brute_force(mat, w: WeightFiltrationGeneric, cap: int = 160):
     for k in ks:
         cum += profile[k]
         target_dims.append((k, cum))
-    candidates = _lattice_subspaces(mat, w, cap)
+    candidates = _lattice_subspaces(mat, w)
     by_dim: dict[int, list] = {}
     for c in candidates:
         by_dim.setdefault(c.dim, []).append(c)
@@ -337,7 +340,7 @@ def criterion_monodromy_integrality(cfg: QuadratureConfig = DEFAULT_CONFIG,
     basic = {}
     for name, word in (("gamma0", "0"), ("gamma1", "1")):
         try:
-            g = monodromy_action(word, cfg, integer_tol=1e-6)
+            g = monodromy_action(word, cfg)
             basic[word] = g
             errors.append(float(np.max(np.abs(g - np.array(frozen[name])))))
         except Exception:
@@ -353,7 +356,7 @@ def criterion_monodromy_integrality(cfg: QuadratureConfig = DEFAULT_CONFIG,
         words.append(" ".join(letters))
     for word in words:
         try:
-            g = monodromy_action(word, cfg, integer_tol=1e-6)
+            g = monodromy_action(word, cfg)
         except Exception:
             hard += 1
             continue

@@ -15,8 +15,6 @@ made inside; a matrix used as a map is scaled as a whole by
 Canonical Fractions appear at the edges only: ``rref``'s rows,
 ``Subspace.fractions`` (what the filtrations print) and
 ``solve_in_span``'s coefficients.
-A float code path (numpy, rank tolerance) is provided for the few
-operations that must also accept inexact input.
 """
 
 from __future__ import annotations
@@ -24,8 +22,6 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
-
-FLOAT_RANK_TOL = 1e-12
 
 
 def _scaled(row) -> tuple[list[int], int]:
@@ -346,23 +342,3 @@ def solve_in_span(vectors, target):
     for i, p in enumerate(pivots):
         coeffs[p] = red[i][-1]
     return coeffs
-
-
-# --- float path -------------------------------------------------------------
-
-def float_rank(rows, tol=FLOAT_RANK_TOL):
-    import numpy as np   # only the float path needs it; the exact commands start without it
-    arr = np.asarray(rows, dtype=complex)
-    if arr.size == 0:
-        return 0
-    s = np.linalg.svd(arr, compute_uv=False)
-    scale = max(s[0], 1.0) if len(s) else 1.0
-    return int(np.sum(s > tol * scale))
-
-
-def float_in_span(vectors, target, tol=FLOAT_RANK_TOL):
-    vecs = [list(map(complex, v)) for v in vectors]
-    tgt = list(map(complex, target))
-    if not vecs:
-        return max(abs(x) for x in tgt) <= tol
-    return float_rank(vecs, tol) == float_rank(vecs + [tgt], tol)

@@ -236,11 +236,8 @@ def classify_coproduct(h: ExactSeries) -> str:
     return "neither"
 
 
-def bch(a: ExactSeries, b: ExactSeries, level: int | None = None) -> ExactSeries:
+def bch(a: ExactSeries, b: ExactSeries) -> ExactSeries:
     """log(exp(a)·exp(b)); inputs and output are primitives."""
-    if level is not None and (a.level != level or b.level != level):
-        a = ExactSeries(level, a.coeffs)
-        b = ExactSeries(level, b.coeffs)
     if a.level != b.level:
         raise ValueError("level mismatch")
     r = a.level

@@ -1,15 +1,17 @@
 """Piecewise-smooth paths in C \\ {0, 1}.
 
-A path is a chain of parametrized arcs (line segments, circular arcs,
-and "log" segments that interpolate multiplicatively about the puncture
-0 or 1), each mapped from [0, 1].  Endpoints may carry tangential
-anchors at the punctures 0 or 1; everything in between must stay away
-from both punctures.  Named loops "gamma0"/"gamma1" are the standard
-interior representatives of the two generating loops, based on the
-positive real axis at the junction radius.  ``canonical_reach`` is the
-standard path from the junction point to a target; it ends on a log
-segment about the puncture the target is near, where the form with its
-pole there is constant.
+A path is a chain of parametrized pieces, each mapped from [0, 1]: line
+segments, and log segments z = c + (z0 - c) exp(rate t) about the
+puncture c = 0 or 1, which are rays, circular arcs or spirals about it.
+Endpoints may carry tangential anchors at the punctures 0 or 1;
+everything in between must stay away from both punctures.  Named loops
+"gamma0"/"gamma1" are the standard interior representatives of the two
+generating loops, based on the positive real axis at the junction
+radius; each turns about its puncture on one log segment that ends
+exactly where it starts, whatever the number of turns.
+``canonical_reach`` is the standard path from the junction point to a
+target; it ends on a log segment about the puncture the target is near,
+where the form with its pole there is constant.
 
 Besides ``point``/``deriv`` (one parameter at a time, for the direct
 quadrature), every segment supplies its two forms ``dz/z`` and
@@ -116,79 +118,27 @@ class LineSegment:
 
 
 @dataclass(frozen=True)
-class CircularArc:
-    center: complex
-    radius: float
-    theta0: float
-    theta1: float  # traversed linearly; theta1 > theta0 is counterclockwise
-
-    def point(self, t: float) -> complex:
-        th = self.theta0 + (self.theta1 - self.theta0) * t
-        return self.center + self.radius * cmath.exp(1j * th)
-
-    def deriv(self, t: float) -> complex:
-        th = self.theta0 + (self.theta1 - self.theta0) * t
-        return 1j * (self.theta1 - self.theta0) * self.radius * cmath.exp(1j * th)
-
-    def reversed(self) -> "CircularArc":
-        return CircularArc(self.center, self.radius, self.theta1, self.theta0)
-
-    @property
-    def start(self) -> complex:
-        return self.point(0.0)
-
-    @property
-    def end(self) -> complex:
-        return self.point(1.0)
-
-    def speed_near(self, p: complex) -> float:
-        """|dz/dt| where the segment passes p."""
-        return self.radius * abs(self.theta1 - self.theta0)
-
-    def min_distance(self, p: complex) -> float:
-        rho = abs(p - self.center)
-        lo, hi = min(self.theta0, self.theta1), max(self.theta0, self.theta1)
-        if hi - lo >= 2 * math.pi:
-            return abs(rho - self.radius)
-        phi = cmath.phase(p - self.center) if rho > 0 else 0.0
-        for k in range(math.floor((lo - phi) / (2 * math.pi)), math.ceil((hi - phi) / (2 * math.pi)) + 1):
-            if lo < phi + 2 * math.pi * k < hi:
-                return abs(rho - self.radius)
-        return min(abs(self.start - p), abs(self.end - p))
-
-    @cached_property
-    def _rate(self) -> complex:
-        # the arc as z = c + (z0 - c) exp(rate t) through its two float endpoints,
-        # so that neighbours which end exactly there join it without a gap
-        rate = _log_ratio(self.end - self.center, self.start - self.center)
-        turns = round((self.theta1 - self.theta0 - rate.imag) / (2 * math.pi))
-        return rate + 2j * math.pi * turns
-
-    def forms(self, t: np.ndarray, u: np.ndarray):
-        """(dz/z, dz/(1-z)) at the parameters t, with u = 1 - t."""
-        c, rate = self.center, self._rate
-        z, omz, w = _spiral(self.start, self.end, c, rate, t, u)
-        dz = rate * w
-        f0 = np.full(t.shape, rate) if c == 0 else dz / z
-        f1 = np.full(t.shape, -rate) if c == 1 else dz / omz
-        return f0, f1
-
-
-@dataclass(frozen=True)
 class LogSegment:
-    """Multiplicative interpolation about a centre c of 0 or 1:
-    z(t) = c + (z0 - c) * ((z1 - c)/(z0 - c))**t.
+    """A segment about a centre c of 0 or 1: z(t) = c + (z0 - c) exp(rate t),
+    where rate is a logarithm of (z1 - c)/(z0 - c).
+
+    ``sweep`` is the angle turned about the centre, and rate takes the
+    branch nearest it: z1 = z0 with sweep 2 pi k is k full turns, and an
+    arc ends exactly on the float points that its neighbours end on.
+    Without a sweep the branch is principal, at most a half turn, and a
+    half turn passes above the centre.
 
     The form with a pole at the centre is the constant rate on it: dz/z
     about 0, -dz/(1-z) about 1.  On a ray through the centre this is the
     radial segment, which removes the boundary layer of the transport
-    equation on approaches to that puncture; otherwise it is a log-spiral
-    of at most a half turn, and a half turn passes above the centre.
+    equation on approaches to that puncture; on a circle about it, an arc;
+    otherwise a log-spiral.
     """
 
     z0: complex
     z1: complex
     center: float = 0.0
+    sweep: float | None = None
 
     def __post_init__(self):
         if self.center not in (0, 1):
@@ -199,6 +149,8 @@ class LogSegment:
     @cached_property
     def _rate(self) -> complex:
         rate = _log_ratio(self.z1 - self.center, self.z0 - self.center)
+        if self.sweep is not None:
+            return rate + 2j * math.pi * round((self.sweep - rate.imag) / (2 * math.pi))
         if abs(rate.imag) == math.pi:
             # a half turn, whose principal log follows the signs of zero: pass
             # above the centre, so that the reversed segment retraces it
@@ -213,7 +165,8 @@ class LogSegment:
         return (self.point(t) - self.center) * self._rate
 
     def reversed(self) -> "LogSegment":
-        return LogSegment(self.z1, self.z0, self.center)
+        return LogSegment(self.z1, self.z0, self.center,
+                          None if self.sweep is None else -self.sweep)
 
     @property
     def start(self) -> complex:
@@ -241,6 +194,11 @@ class LogSegment:
             e = (self.z0 - c) / r0
             v = (p - c) * e.conjugate()
             return abs(v.imag) if min(r0, r1) < v.real < max(r0, r1) else ends
+        if abs(rate.real) <= 1e-14 * abs(rate.imag):
+            # circular: p's angle from the start, in the sense of turning
+            v = (p - c) * (self.z0 - c).conjugate()
+            phi = math.atan2(v.imag, v.real) % math.copysign(2 * math.pi, rate.imag)
+            return min(ends, abs(q - r0)) if abs(phi) < abs(rate.imag) else ends
         # a spiral of at most half a turn: sample, then refine the best bracket
         ts = np.linspace(0.0, 1.0, 65)
         k = int(np.argmin(np.abs(c + (self.z0 - c) * np.exp(rate * ts) - p)))
@@ -339,22 +297,21 @@ def _check_junction(first: Path, second: Path) -> None:
         raise DomainError("paths do not chain")
 
 
-def loop_gamma0(turns: int = 1, radius: float = JUNCTION_RADIUS) -> Path:
-    """Circle of winding ``turns`` about 0, based at (radius, 0); positive = counterclockwise."""
+def loop_gamma0(turns: int = 1) -> Path:
+    """``turns`` circles about 0 through the junction point; positive = counterclockwise."""
     if turns == 0:
         raise DomainError("gamma0 with zero turns is an empty loop")
-    return Path((CircularArc(0.0, radius, 0.0, 2 * math.pi * turns),))
+    return Path((LogSegment(JUNCTION_RADIUS, JUNCTION_RADIUS, 0.0, 2 * math.pi * turns),))
 
 
-def loop_gamma1(turns: int = 1, base_radius: float = JUNCTION_RADIUS,
-                loop_radius: float = LOOP1_RADIUS) -> Path:
+def loop_gamma1(turns: int = 1) -> Path:
     """Out along the real axis, ``turns`` times around 1, and back."""
     if turns == 0:
         raise DomainError("gamma1 with zero turns is an empty loop")
-    out = LineSegment(base_radius, 1 - loop_radius)
-    around = CircularArc(1.0, loop_radius, math.pi, math.pi + 2 * math.pi * turns)
-    back = LineSegment(1 - loop_radius, base_radius)
-    return Path((out, around, back))
+    turn = 1 - LOOP1_RADIUS
+    return Path((LineSegment(JUNCTION_RADIUS, turn),
+                 LogSegment(turn, turn, 1.0, 2 * math.pi * turns),
+                 LineSegment(turn, JUNCTION_RADIUS)))
 
 
 def make_path(spec) -> Path:
@@ -419,35 +376,37 @@ def _parse_anchor(data) -> TangentialAnchor | None:
     return TangentialAnchor(data["at"], as_complex(data.get("vector", [1, 0])))
 
 
-def canonical_reach(x: complex, junction: float = JUNCTION_RADIUS,
-                    detour: float = LOOP1_RADIUS) -> Path:
+def canonical_reach(x: complex) -> Path:
     """Deterministic interior path from the junction point to x.
 
-    A target within ``detour`` of 1 is reached along the real axis to
-    1 - detour and then on one log-spiral about 1, which sweeps arg(x - 1)
-    on the target's side: above 1 for real targets beyond 1 (whatever the
-    sign of their zero imaginary part), radially for real targets below 1.
-    dz/(1-z) is constant on the spiral, so the transport's panels grow
-    only with log log(1/|x - 1|).  Any other target is reached by
-    rotating along the junction circle to the principal argument of x and
-    then moving radially; a ray that passes within rho = min(detour,
-    |x - 1|/2) of 1 goes around 1 on an arc of radius rho, on the side of
-    the target, which keeps every segment rho away from 1.  Both fix one
-    homotopy class per target, which loop prefixes then act on.
+    A target within LOOP1_RADIUS of 1 is reached along the real axis to
+    1 - LOOP1_RADIUS and then on one log-spiral about 1, which sweeps
+    arg(x - 1) on the target's side: above 1 for real targets beyond 1
+    (whatever the sign of their zero imaginary part), radially for real
+    targets below 1.  dz/(1-z) is constant on the spiral, so the
+    transport's panels grow only with log log(1/|x - 1|).  Any other
+    target is reached by turning on the junction circle through the
+    principal argument of x, on the side the sign of a zero imaginary
+    part names, and then moving radially; a ray that passes within
+    rho = min(LOOP1_RADIUS, |x - 1|/2) of 1 goes around 1 on an arc of
+    radius rho, on the side of the target, which keeps every segment rho
+    away from 1.  Both fix one homotopy class per target, which loop
+    prefixes then act on.
     """
     x = complex(x)
     if not math.isfinite(math.hypot(x.real, x.imag)):
         raise DomainError("target must be finite, with a modulus below the float range")
     if x == 0 or x == 1:
         raise DomainError("target is a puncture")
-    if abs(x - 1) < detour:
-        return Path((LogSegment(junction, 1 - detour), LogSegment(1 - detour, x, 1.0)))
+    if abs(x - 1) < LOOP1_RADIUS:
+        turn = 1 - LOOP1_RADIUS
+        return Path((LogSegment(JUNCTION_RADIUS, turn), LogSegment(turn, x, 1.0)))
     theta = math.atan2(x.imag, x.real)   # cmath.phase raises where the angle underflows
     segs: list = []
+    ray_start = JUNCTION_RADIUS * cmath.exp(1j * theta)
     if abs(theta) > 1e-15:
-        segs.append(CircularArc(0.0, junction, 0.0, theta))
-    ray_start = junction * cmath.exp(1j * theta)
-    rho = min(detour, abs(x - 1) / 2)
+        segs.append(LogSegment(JUNCTION_RADIUS, ray_start, 0.0, theta))
+    rho = min(LOOP1_RADIUS, abs(x - 1) / 2)
     if math.cos(theta) > 0 and abs(math.sin(theta)) < rho and abs(x) > math.cos(theta):
         # the ray meets the circle |z - 1| = rho at radii cos(theta) -+ h
         h = math.sqrt(rho * rho - math.sin(theta) ** 2)
@@ -457,10 +416,12 @@ def canonical_reach(x: complex, junction: float = JUNCTION_RADIUS,
             w = s * cmath.exp(1j * theta) - 1
             return side * math.atan2(abs(w.imag), w.real)
 
-        arc = CircularArc(1.0, rho, angle(math.cos(theta) - h), angle(math.cos(theta) + h))
+        a0 = angle(math.cos(theta) - h)
+        sweep = angle(math.cos(theta) + h) - a0
+        p0, p1 = (1.0 + rho * cmath.exp(1j * a) for a in (a0, a0 + sweep))
         # the rays join the arc at its own float endpoints, without a gap
-        segs += [LogSegment(ray_start, arc.start), arc]
-        ray_start = arc.end
+        segs += [LogSegment(ray_start, p0), LogSegment(p0, p1, 1.0, sweep)]
+        ray_start = p1
     if x != ray_start:
         segs.append(LogSegment(ray_start, x))
     if not segs:
@@ -468,7 +429,7 @@ def canonical_reach(x: complex, junction: float = JUNCTION_RADIUS,
     return Path(tuple(segs))
 
 
-def loop_from_group_word(word, junction: float = JUNCTION_RADIUS) -> Path | None:
+def loop_from_group_word(word) -> Path | None:
     """Interior loop based at the junction point realizing a group word.
 
     Letters map to the named loops; inverse letters to their reversals.
@@ -479,7 +440,7 @@ def loop_from_group_word(word, junction: float = JUNCTION_RADIUS) -> Path | None
         word = GroupWord.from_string(word)
     path: Path | None = None
     for gen, sign in word.letters:
-        loop = loop_gamma0(1, junction) if gen == "0" else loop_gamma1(1, junction)
+        loop = loop_gamma0() if gen == "0" else loop_gamma1()
         if sign < 0:
             loop = loop.reversed()
         path = loop if path is None else path.concat(loop)

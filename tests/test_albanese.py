@@ -113,6 +113,15 @@ class TestAlbanesePoint:
             raw = raw_coordinates(x, cfg)
             assert max(abs(a - b) for a, b in zip(raw, expected)) < cfg.abs_tol
 
+    @pytest.mark.parametrize("sign", (1.0, -1.0))
+    def test_negative_axis_keeps_its_side(self, cfg, sign):
+        # the reach to -2 + 0.0j passes above 0 and the one to -2 - 0.0j below,
+        # so log x = 2 pi i alpha continues to log 2 +- pi i
+        alpha, _, _ = raw_coordinates(complex(-2, math.copysign(0.0, sign)), cfg)
+        log_x = TWO_PI_I * alpha
+        assert math.copysign(1.0, log_x.imag) == sign
+        assert abs(log_x - complex(math.log(2), sign * math.pi)) < 1e-12
+
     def test_junction_point_target(self, cfg):
         # the standard path degenerates to a constant tail there
         p = albanese_point(0.125, cfg=cfg)

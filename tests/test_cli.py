@@ -121,12 +121,23 @@ class TestSpecExamples:
 
     @pytest.mark.parametrize("c", ("1.01e-12", "1.2e-12", "1.5e-12", "2e-12"))
     def test_hodge_orbit_next_to_the_float_tolerance(self, capsys, c):
-        # the 1e-12 criterion and the relative rank test disagree here; this
-        # used to end in a traceback with no JSON
+        # a float flag is decided by the 1e-12 criterion alone: just past it
+        # neither the orbit nor transversality holds
         code, out = run(capsys, ["hodge", "orbit", f"--N=1,0,{c}", "--F=0.0,0.0,0.0"])
-        assert code == EXIT_NUMERIC
-        assert set(out) == {"error"}
-        assert "1e-12" in out["error"] and "defect" in out["error"]
+        assert code == EXIT_OK
+        assert out["generates"] is False
+        assert out["criterion_defect"] == [float(c), 0.0]
+        code, out = run(capsys, ["hodge", "transversal", f"--N=1,0,{c}", "--F=0.0,0.0,0.0"])
+        assert (code, out) == (EXIT_OK, {"transversal": False})
+
+    @pytest.mark.parametrize("flag", ("0,nan,0", "1e999,0,0", "0,0,-1e999", "1" + "0" * 400 + ",0.5,0"),
+                             ids=("nan", "inf", "-inf", "rational-past-float"))
+    @pytest.mark.parametrize("command", ("filtration", "transversal", "orbit"))
+    def test_non_finite_flag(self, capsys, command, flag):
+        argv = ["hodge", command, f"--F={flag}"] + ([] if command == "filtration" else ["--N=1,0,0"])
+        code, out = run(capsys, argv)
+        assert code == EXIT_DOMAIN
+        assert "finite" in out["error"]
 
     def test_alb_extend_zero(self, capsys):
         code, out = run(capsys, ["alb", "extend", "--x", "0"])
@@ -208,6 +219,19 @@ class TestExitCodes:
         # a hundred thousand turns cannot be resolved within the panel cap
         code, out = run(capsys, ["ii", "signature", "--level", "2",
                                  "--path", '{"loop":"gamma0","turns":100000}'])
+        assert code == EXIT_NUMERIC
+        assert "panels" in out["error"]
+
+    @pytest.mark.parametrize("turns", (10 ** 5, 10 ** 6, 10 ** 8, 2 ** 53))
+    @pytest.mark.parametrize("loop", ("gamma0", "gamma1"))
+    def test_many_turn_loops(self, capsys, loop, turns):
+        # a named loop ends exactly where it starts, whatever its turns; past
+        # the panel budget its monodromy exits 2, never 1 as a broken path
+        spec = json.dumps({"loop": loop, "turns": turns})
+        code, out = run(capsys, ["ii", "path", "--spec", spec])
+        assert code == EXIT_OK
+        assert out["start"] == out["end"] == [0.125, 0.0]
+        code, out = run(capsys, ["alb", "monodromy", "--loop", spec])
         assert code == EXIT_NUMERIC
         assert "panels" in out["error"]
 
@@ -640,14 +664,18 @@ class TestBatch:
 
     def test_batch_survives_a_float_orbit_at_the_tolerance(self, capsys, monkeypatch):
         import io
+        # the float orbit is decided by the criterion; a numeric failure next
+        # to it (a loop past the panel budget) stays isolated
         requests = [["words", "basis", "--r", "1"],
                     ["hodge", "orbit", "--N=1,0,1.2e-12", "--F=0.0,0.0,0.0"],
+                    ["alb", "monodromy", "--loop", '{"loop":"gamma0","turns":100000}'],
                     ["hodge", "orbit", "--N", "1,0,1", "--F", "0,0,0"]]
         monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(requests)))
         code, out = run(capsys, ["--json-in", "-"])
         assert code == EXIT_OK
-        assert [r["exit_code"] for r in out["results"]] == [EXIT_OK, EXIT_NUMERIC, EXIT_OK]
-        assert out["results"][2]["output"]["generates"] is False
+        assert [r["exit_code"] for r in out["results"]] == [EXIT_OK, EXIT_OK, EXIT_NUMERIC, EXIT_OK]
+        assert out["results"][1]["output"]["generates"] is False
+        assert out["results"][3]["output"]["generates"] is False
 
     def test_batch_input_checked(self, capsys, monkeypatch, tmp_path):
         import io
@@ -682,9 +710,10 @@ class TestEnvironment:
 
     @pytest.mark.parametrize("argv", [None] + [_ONE_VALID_CALL[op] for op in (
         "shuffle_product", "malcev_coordinates", "generates_nilpotent_orbit",
-        "boundary_chart_point", "reduce_mod_integral")],
+        "boundary_chart_point", "reduce_mod_integral", "hodge_filtration_from")],
         ids=lambda argv: " ".join(argv[:2]) if argv else "import")
     def test_exact_commands_leave_numpy_out(self, argv):
+        # hodge filtration's flag here is a float one, decided without numpy too
         call = f"c.run_command({argv!r})" if argv else "0"
         proc = _fresh_python(f"import sys, alblab.cli as c; code = {call}; "
                              "print(code, 'numpy' in sys.modules, file=sys.stderr)")

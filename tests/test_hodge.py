@@ -87,6 +87,22 @@ class TestTransversality:
         f = hodge_filtration_from(alpha, beta, lam)
         assert griffiths_transversal(n, f) == (c == a * beta - b * alpha)
 
+    @pytest.mark.parametrize("entry", (math.nan, math.inf, -math.inf, complex(0, math.nan),
+                                       Fraction(10 ** 400)))
+    def test_non_finite_flag_rejected(self, entry):
+        with pytest.raises(DomainError, match="finite"):
+            hodge_filtration_from(0.5, entry, 0.0)
+
+    @given(frac, frac, frac, frac, frac, st.sampled_from((Fraction(0), Fraction(1, 125), Fraction(-3))))
+    @settings(max_examples=100, deadline=None)
+    def test_float_route_is_the_criterion(self, a, b, alpha, beta, lam, offset):
+        # the exact span-membership route is the oracle of the float decision;
+        # c meets the criterion exactly or misses it by at least 1/125
+        n = NilpotentEndo(a, b, a * beta - b * alpha + offset)
+        exact = griffiths_transversal(n, hodge_filtration_from(alpha, beta, lam))
+        approx = griffiths_transversal(n, hodge_filtration_from(*map(complex, (alpha, beta, lam))))
+        assert approx == exact == (offset == 0)
+
     def test_float_route(self):
         f = hodge_filtration_from(0.25, 0.5 + 0.1j, -0.7)
         n = NilpotentEndo(2, 0, 0)
@@ -114,11 +130,13 @@ class TestOrbitCriterion:
             assert generates_nilpotent_orbit(n, f).admissible
 
     def test_float_disagreement_at_the_tolerance_is_numerical(self):
-        # c = 1.2e-12 fails the absolute 1e-12 criterion, but the relative
-        # rank test sees a transversal pair
+        # a float flag is decided by the criterion within 1e-12 alone, so
+        # transversality agrees with it on both sides of the tolerance
         f = hodge_filtration_from(0.0, 0.0, 0.0)
-        with pytest.raises(ConvergenceError, match="tolerance 1e-12"):
-            generates_nilpotent_orbit(NilpotentEndo(1, 0, Fraction(1.2e-12)), f)
+        for c, inside in (("1.2e-12", False), ("1.01e-12", False), ("0.99e-12", True), ("0", True)):
+            r = generates_nilpotent_orbit(NilpotentEndo(1, 0, Fraction(c)), f)
+            assert (r.generates, r.transversal) == (inside, inside)
+            assert r.criterion_defect == float(c)
 
     def test_exact_disagreement_stays_a_hard_error(self, monkeypatch):
         monkeypatch.setattr(hodge, "griffiths_transversal", lambda n, f: False)

@@ -15,8 +15,7 @@ from alblab.integrals import (ConvergenceError, QuadratureConfig, holomorphic_pa
                               regularized_signature, signature,
                               tangential_iterated_integral, transport)
 from alblab.malcev import GroupWord
-from alblab.paths import (DomainError, LineSegment, LogSegment, Path, loop_gamma0,
-                          make_path)
+from alblab.paths import DomainError, LineSegment, LogSegment, Path, make_path
 from alblab.series import MAX_FLOAT_LEVEL, TruncatedSeries, concat_mul, exp_letter, shuffle_defect
 from alblab.words import shuffle_words, word_basis
 
@@ -196,7 +195,7 @@ class TestSignature:
         assert a.mul(b).distance(TruncatedSeries.identity(3)) < 10 * cfg.abs_tol
 
     def test_gamma0_small_radius_is_exponential(self, cfg):
-        sig = signature(loop_gamma0(1, radius=1e-10), 2, cfg)
+        sig = signature(Path((LogSegment(1e-10, 1e-10, 0.0, 2 * math.pi),)), 2, cfg)
         expected = exp_letter(TWO_PI_I, "0", 2)
         assert sig.distance(expected) < 1e-8
 
