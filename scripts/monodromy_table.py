@@ -11,7 +11,6 @@ import sys
 import numpy as np
 
 from alblab.albanese import monodromy_action
-from alblab.integrals import QuadratureConfig
 
 DEFAULT_WORDS = ["0", "1", "0^-1", "1^-1", "0 1", "1 0",
                  "0 1 0^-1 1^-1", "0 0 1", "1^-1 0 1"]
@@ -19,12 +18,11 @@ DEFAULT_WORDS = ["0", "1", "0^-1", "1^-1", "0 1", "1 0",
 
 def main():
     words = sys.argv[1:] or DEFAULT_WORDS
-    cfg = QuadratureConfig()
-    basic = {"0": monodromy_action("0", cfg), "1": monodromy_action("1", cfg)}
+    basic = {"0": monodromy_action("0"), "1": monodromy_action("1")}
     basic["0^-1"] = np.linalg.inv(basic["0"]).astype(int)
     basic["1^-1"] = np.linalg.inv(basic["1"]).astype(int)
     for word in words:
-        g = monodromy_action(word, cfg)
+        g = monodromy_action(word)
         expected = np.eye(3, dtype=int)
         for tok in word.split():
             expected = expected @ basic[tok]

@@ -2,8 +2,10 @@
 
 Each criterion is a function returning a structured result with its
 pinned tolerance, so the suite can run from pytest and from the CLI
-selftest alike.  Failures are counted, never raised: a corrupted
-configuration must produce a quantified red report, not a crash.
+selftest alike.  The float criteria run at the quadrature tolerance
+``integrals.ABS_TOL``.  Failures are counted, never raised: a computation
+that misses its tolerance or raises must produce a quantified red report,
+not a crash.
 """
 
 from __future__ import annotations
@@ -23,8 +25,9 @@ from .albanese import (albanese_point, check_lie_action, extended_albanese,
 from .hodge import (LAMBDA, TWO_PI_I, NilpotentEndo, WeightFiltrationGeneric,
                     boundary_chart_point, griffiths_transversal, hodge_filtration_from,
                     relative_monodromy_filtration, verify_relative_monodromy)
-from .integrals import DEFAULT_CONFIG, QuadratureConfig, signature, tangential_iterated_integral
-from .malcev import ExactSeries, bch, hall_dims, malcev_coordinates
+from .errors import DomainError
+from .integrals import signature, tangential_iterated_integral
+from .malcev import ExactSeries, GroupWord, bch, hall_dims, malcev_coordinates
 from .paths import Path, make_path
 from .series import shuffle_defect
 from .words import word_basis
@@ -72,7 +75,7 @@ def random_interior_path(rng, n_waypoints: int = 3, margin: float = 0.15) -> Pat
                for _ in range(n_waypoints)]
         try:
             path = make_path({"waypoints": [[p.real, p.imag] for p in pts]})
-        except Exception:
+        except DomainError:   # a waypoint or segment on a puncture
             continue
         if all(seg.min_distance(p) >= margin for seg in path.segments for p in (0, 1)):
             return path
@@ -80,19 +83,18 @@ def random_interior_path(rng, n_waypoints: int = 3, margin: float = 0.15) -> Pat
 
 # --- criteria -------------------------------------------------------------------
 
-def criterion_dilog_anchor(cfg: QuadratureConfig = DEFAULT_CONFIG) -> CriterionResult:
+def criterion_dilog_anchor() -> CriterionResult:
     start = time.time()
     target = math.pi ** 2 / 12 - math.log(2) ** 2 / 2
     try:
-        value = tangential_iterated_integral("10", 0.5, cfg)
+        value = tangential_iterated_integral("10", 0.5)
     except Exception as exc:
         return _result(1, "dilog anchor", 1e-8, [], start, f"exception: {exc}", 1)
     return _result(1, "dilog anchor", 1e-8, [abs(value - target)], start,
                    "series oracle sum x^n/n^2 at x = 1/2")
 
 
-def criterion_shuffle_suite(cfg: QuadratureConfig = DEFAULT_CONFIG, n_paths: int = 50,
-                            seed: int = 11) -> CriterionResult:
+def criterion_shuffle_suite(n_paths: int = 50, seed: int = 11) -> CriterionResult:
     start = time.time()
     rng = np.random.default_rng(seed)
     pairs = [(u, v) for u in word_basis(3) for v in word_basis(3)
@@ -102,7 +104,7 @@ def criterion_shuffle_suite(cfg: QuadratureConfig = DEFAULT_CONFIG, n_paths: int
     for _ in range(n_paths):
         path = random_interior_path(rng, n_waypoints=int(rng.integers(2, 5)))
         try:
-            sig = signature(path, 4, cfg)
+            sig = signature(path, 4)
         except Exception:
             hard += 1
             continue
@@ -112,8 +114,7 @@ def criterion_shuffle_suite(cfg: QuadratureConfig = DEFAULT_CONFIG, n_paths: int
                    f"{len(pairs)} word pairs x {n_paths} paths", hard)
 
 
-def criterion_composition_suite(cfg: QuadratureConfig = DEFAULT_CONFIG, n_splits: int = 50,
-                                seed: int = 23) -> CriterionResult:
+def criterion_composition_suite(n_splits: int = 50, seed: int = 23) -> CriterionResult:
     start = time.time()
     rng = np.random.default_rng(seed)
     errors = []
@@ -124,8 +125,8 @@ def criterion_composition_suite(cfg: QuadratureConfig = DEFAULT_CONFIG, n_splits
         first = Path(path.segments[:cut])
         second = Path(path.segments[cut:])
         try:
-            whole = signature(path, 3, cfg)
-            glued = signature(first, 3, cfg).mul(signature(second, 3, cfg))
+            whole = signature(path, 3)
+            glued = signature(first, 3).mul(signature(second, 3))
             errors.append(whole.distance(glued))
         except Exception:
             hard += 1
@@ -330,8 +331,7 @@ def criterion_rmf(n_cases: int = 200, seed: int = 17) -> CriterionResult:
                    f"{checks} instances, search confirmed {found_both}")
 
 
-def criterion_monodromy_integrality(cfg: QuadratureConfig = DEFAULT_CONFIG,
-                                    n_words: int = 10, seed: int = 31) -> CriterionResult:
+def criterion_monodromy_integrality(n_words: int = 10, seed: int = 31) -> CriterionResult:
     start = time.time()
     rng = np.random.default_rng(seed)
     frozen = regression_constants()["monodromy_matrices"]
@@ -340,7 +340,7 @@ def criterion_monodromy_integrality(cfg: QuadratureConfig = DEFAULT_CONFIG,
     basic = {}
     for name, word in (("gamma0", "0"), ("gamma1", "1")):
         try:
-            g = monodromy_action(word, cfg)
+            g = monodromy_action(word)
             basic[word] = g
             errors.append(float(np.max(np.abs(g - np.array(frozen[name])))))
         except Exception:
@@ -356,7 +356,7 @@ def criterion_monodromy_integrality(cfg: QuadratureConfig = DEFAULT_CONFIG,
         words.append(" ".join(letters))
     for word in words:
         try:
-            g = monodromy_action(word, cfg)
+            g = monodromy_action(word)
         except Exception:
             hard += 1
             continue
@@ -368,10 +368,10 @@ def criterion_monodromy_integrality(cfg: QuadratureConfig = DEFAULT_CONFIG,
                    f"gamma0, gamma1 and {n_words} random words", hard)
 
 
-def criterion_heisenberg(cfg: QuadratureConfig = DEFAULT_CONFIG) -> CriterionResult:
+def criterion_heisenberg() -> CriterionResult:
     start = time.time()
     try:
-        g = monodromy_action("0 1 0^-1 1^-1", cfg)
+        g = monodromy_action("0 1 0^-1 1^-1")
     except Exception as exc:
         return _result(7, "Heisenberg commutator", 0.0, [], start, f"exception: {exc}", 1)
     a, b, c = g[1][2], g[0][1], g[0][2]
@@ -380,7 +380,7 @@ def criterion_heisenberg(cfg: QuadratureConfig = DEFAULT_CONFIG) -> CriterionRes
                    f"commutator (a,b,c) = ({a},{b},{c})")
 
 
-def criterion_boundary_limit(cfg: QuadratureConfig = DEFAULT_CONFIG) -> CriterionResult:
+def criterion_boundary_limit() -> CriterionResult:
     start = time.time()
     xs = [10.0 ** (-k) for k in range(1, 5)]
     errors = []
@@ -388,7 +388,7 @@ def criterion_boundary_limit(cfg: QuadratureConfig = DEFAULT_CONFIG) -> Criterio
     prev_mods = None
     for x in xs:
         try:
-            q, beta, lam = extended_albanese(x, cfg)
+            q, beta, lam = extended_albanese(x)
         except Exception:
             hard += 1
             continue
@@ -399,7 +399,7 @@ def criterion_boundary_limit(cfg: QuadratureConfig = DEFAULT_CONFIG) -> Criterio
         bound_defect = max(abs(beta) - 2 * x, abs(lam) - 2 * x, 0.0)
         errors.append(bound_defect)
         chart = boundary_chart_point(q, beta, lam)
-        direct = albanese_point(x, cfg=cfg)
+        direct = albanese_point(x)
         errors.append(max(abs(a - b) for a, b in zip(chart.coords, direct.coords)))
     return _result(8, "boundary limit and chart consistency", 1e-8, errors, start,
                    "x = 1e-1 .. 1e-4 on the real axis", hard)
@@ -433,27 +433,17 @@ def criterion_malcev_exactness(seed: int = 41) -> CriterionResult:
     coords = hall_coordinates(bch(e0_3, e1_3))
     check(coords.get("001") == Fraction(1, 12))
     for word in ("0 1 0^-1 1^-1", "1 0 1^-1 0^-1"):
-        inner = word
-        outer0 = f"0 {inner} 0^-1 " + _invert_word(inner)
-        outer1 = f"1 {inner} 1^-1 " + _invert_word(inner)
-        check(malcev_coordinates(outer0, 2) == {})
-        check(malcev_coordinates(outer1, 2) == {})
+        inverse = str(GroupWord.from_string(word).inverse())
+        for gen in "01":
+            check(malcev_coordinates(f"{gen} {word} {gen}^-1 {inverse}", 2) == {})
     return _result(9, "malcev exactness", 0.0, [float(failures)], start,
                    f"{checks} exact identities")
 
 
-def _invert_word(word: str) -> str:
-    toks = word.split()
-    out = []
-    for tok in reversed(toks):
-        out.append(tok[:-3] if tok.endswith("^-1") else tok + "^-1")
-    return " ".join(out)
-
-
-def criterion_mhs_morphism(cfg: QuadratureConfig = DEFAULT_CONFIG) -> CriterionResult:
+def criterion_mhs_morphism() -> CriterionResult:
     start = time.time()
     try:
-        logs = monodromy_logarithms(cfg)
+        logs = monodromy_logarithms()
     except Exception as exc:
         return _result(10, "MHS morphism check", 0.0, [], start, f"exception: {exc}", 1)
     ok = check_lie_action(logs)["passes"]
@@ -465,8 +455,7 @@ def criterion_mhs_morphism(cfg: QuadratureConfig = DEFAULT_CONFIG) -> CriterionR
                    f"perturbed N0 {'detected' if detects else 'missed'}")
 
 
-def criterion_differential_relation(cfg: QuadratureConfig = DEFAULT_CONFIG,
-                                    n_points: int = 10, seed: int = 59) -> CriterionResult:
+def criterion_differential_relation(n_points: int = 10, seed: int = 59) -> CriterionResult:
     start = time.time()
     rng = np.random.default_rng(seed)
     h = 1e-4
@@ -476,9 +465,9 @@ def criterion_differential_relation(cfg: QuadratureConfig = DEFAULT_CONFIG,
         x = complex(rng.uniform(0.15, 0.85), rng.uniform(0.1, 0.8) * (1 if rng.random() < 0.5 else -1))
         step = h * complex(math.cos(a := rng.uniform(0, 2 * math.pi)), math.sin(a))
         try:
-            a0, b0, l0 = raw_coordinates(x, cfg)
-            ap, bp, lp = raw_coordinates(x + step, cfg)
-            am, bm, lm = raw_coordinates(x - step, cfg)
+            a0, b0, l0 = raw_coordinates(x)
+            ap, bp, lp = raw_coordinates(x + step)
+            am, bm, lm = raw_coordinates(x - step)
         except Exception:
             hard += 1
             continue
@@ -503,24 +492,21 @@ ALL_CRITERIA = [
     criterion_mhs_morphism,
     criterion_differential_relation,
 ]
-# the criteria that take no quadrature configuration
-EXACT_CRITERIA = (criterion_orbit_criterion, criterion_rmf, criterion_malcev_exactness)
 
 
-def run_acceptance(level: str = "full",
-                   cfg: QuadratureConfig = DEFAULT_CONFIG) -> list[CriterionResult]:
+def run_acceptance(level: str = "full") -> list[CriterionResult]:
     """Run the suite.  "quick" trims the sampling; "full" is the gate."""
     if level == "quick":
         return [
-            criterion_dilog_anchor(cfg),
-            criterion_shuffle_suite(cfg, n_paths=6),
-            criterion_composition_suite(cfg, n_splits=6),
+            criterion_dilog_anchor(),
+            criterion_shuffle_suite(n_paths=6),
+            criterion_composition_suite(n_splits=6),
             criterion_orbit_criterion(n_random=200),
             criterion_rmf(n_cases=25),
-            criterion_heisenberg(cfg),
+            criterion_heisenberg(),
             criterion_malcev_exactness(),
-            criterion_mhs_morphism(cfg),
+            criterion_mhs_morphism(),
         ]
     if level != "full":
         raise ValueError("selftest level must be 'quick' or 'full'")
-    return [fn() if fn in EXACT_CRITERIA else fn(cfg) for fn in ALL_CRITERIA]
+    return [fn() for fn in ALL_CRITERIA]

@@ -22,8 +22,7 @@ import numpy as np
 from . import linalg
 from .errors import DomainError
 from .hodge import TWO_PI_I, reduce_mod_integral
-from .integrals import (ConvergenceError, DEFAULT_CONFIG, QuadratureConfig,
-                        regularized_loop_transport, regularized_signature)
+from .integrals import ConvergenceError, regularized_loop_transport, regularized_signature
 from .series import TruncatedSeries
 
 EXTENSION_DISK_RADIUS = 0.5
@@ -65,22 +64,20 @@ def period_coordinates(s: TruncatedSeries) -> tuple:
             s.coefficient("10") / TWO_PI_I ** 2)
 
 
-def raw_coordinates(x, cfg: QuadratureConfig = DEFAULT_CONFIG,
-                    loop_prefix: str = "", level: int = 2) -> tuple:
+def raw_coordinates(x, loop_prefix: str = "", level: int = 2) -> tuple:
     """Unreduced (alpha, beta, lambda) of x along the chosen homotopy class."""
-    return period_coordinates(regularized_signature(x, level, cfg, loop_prefix=loop_prefix))
+    return period_coordinates(regularized_signature(x, level, loop_prefix=loop_prefix))
 
 
-def albanese_point(x, homotopy_class: str = "",
-                   cfg: QuadratureConfig = DEFAULT_CONFIG) -> AlbanesePoint:
+def albanese_point(x, homotopy_class: str = "") -> AlbanesePoint:
     """Class of x in reduced coordinates; the class is path independent."""
-    raw = raw_coordinates(x, cfg, loop_prefix=homotopy_class)
+    raw = raw_coordinates(x, loop_prefix=homotopy_class)
     reduced, g = reduce_mod_integral(*raw)
     abc = (int(g[1][2]), int(g[0][1]), int(g[0][2]))
     return AlbanesePoint(*reduced, reduction=abc, loop_prefix=homotopy_class, raw=raw)
 
 
-def extended_albanese(x, cfg: QuadratureConfig = DEFAULT_CONFIG) -> tuple:
+def extended_albanese(x) -> tuple:
     """Chart coordinates (q, beta, lambda) of x in the boundary chart.
 
     Defined on the disk |x| < 1/2 around the puncture, with (0, 0, 0) at
@@ -91,20 +88,20 @@ def extended_albanese(x, cfg: QuadratureConfig = DEFAULT_CONFIG) -> tuple:
         return (0j, 0j, 0j)
     if abs(x) >= EXTENSION_DISK_RADIUS:
         raise DomainError(f"extension chart needs |x| < {EXTENSION_DISK_RADIUS}")
-    _, beta, lam = raw_coordinates(x, cfg)
+    _, beta, lam = raw_coordinates(x)
     return (x, beta, lam)
 
 
-def monodromy_action(loop, cfg: QuadratureConfig = DEFAULT_CONFIG) -> np.ndarray:
+def monodromy_action(loop) -> np.ndarray:
     """Integer matrix by which continuation along the loop acts on the left.
 
-    ``loop`` is a group word (a string or a GroupWord), a path spec or an
-    interior Path based on the positive real axis.  The period
+    ``loop`` is a group word (a string or a GroupWord), a path spec or a
+    Path based on the positive real axis.  The period
     coordinates (a, b, c) of the loop's transport at the tangential base
     point give the matrix [[1, b, c], [0, 1, a], [0, 0, 1]]; an entry more
     than INTEGER_TOL from its integer raises ConvergenceError.
     """
-    a, b, c = period_coordinates(regularized_loop_transport(loop, 2, cfg))
+    a, b, c = period_coordinates(regularized_loop_transport(loop, 2))
     g = np.array([[1, b, c], [0, 1, a], [0, 0, 1]], dtype=complex)
     rounded = np.rint(g.real)
     defect = float(np.max(np.abs(g - rounded)))
@@ -116,7 +113,7 @@ def monodromy_action(loop, cfg: QuadratureConfig = DEFAULT_CONFIG) -> np.ndarray
 
 # --- MHS morphism bookkeeping ---------------------------------------------------
 
-def monodromy_logarithms(cfg: QuadratureConfig = DEFAULT_CONFIG) -> dict:
+def monodromy_logarithms() -> dict:
     """{"N0": log M0, "N1": log M1} as exact Fraction matrices, where M0 and
     M1 are the integer continuation matrices of the loops about 0 and 1.
 
@@ -126,7 +123,7 @@ def monodromy_logarithms(cfg: QuadratureConfig = DEFAULT_CONFIG) -> dict:
     logs = {}
     for name, word in (("N0", "0"), ("N1", "1")):
         u = [[Fraction(int(x) - (i == j)) for j, x in enumerate(row)]
-             for i, row in enumerate(monodromy_action(word, cfg))]
+             for i, row in enumerate(monodromy_action(word))]
         logs[name] = [[x - y / 2 for x, y in zip(row, row2)]
                       for row, row2 in zip(u, linalg.product(u, u))]
     return logs

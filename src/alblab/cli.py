@@ -17,8 +17,8 @@ import re
 import sys
 from fractions import Fraction
 
-from .errors import (BadJson, ConvergenceError, DomainError, QuadratureConfig, expect, is_json_int,
-                     is_json_number, parse_complex)
+from .errors import (BadJson, ConvergenceError, DomainError, expect, is_json_int, is_json_number,
+                     parse_complex)
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -115,67 +115,66 @@ def _rational_rows(data, what: str, width: int) -> list:
 
 # --- handlers --------------------------------------------------------------------
 
-def _h_words_basis(words, args, cfg):
+def _h_words_basis(words, args):
     basis = words.word_basis(args.r)
     return {"r": args.r, "count": len(basis), "words": basis}
 
 
-def _h_words_shuffle(words, args, cfg):
+def _h_words_shuffle(words, args):
     out = words.shuffle_product(_shuffle_arg(words, args.a), _shuffle_arg(words, args.b))
     return {"product": out.to_json()}
 
 
-def _h_ii_path(paths, args, cfg):
+def _h_ii_path(paths, args):
     path = paths.make_path(_loads(args.spec))
-    return {"segments": len(path.segments), "start": _cjson(path.start),
-            "end": _cjson(path.end), "interior": path.is_interior}
+    return {"segments": len(path.segments), "start": _cjson(path.start), "end": _cjson(path.end)}
 
 
-def _h_ii_eval(integrals, args, cfg):
+def _h_ii_eval(integrals, args):
     path = _path_arg(args.path)
-    value, err = integrals.iterated_integral(args.word, path, cfg, with_error=True)
+    value, err = integrals.iterated_integral(args.word, path, with_error=True)
     return {"word": args.word, "value": _cjson(value), "abs_err_est": err}
 
 
-def _h_ii_signature(integrals, args, cfg):
+def _h_ii_signature(integrals, args):
     path = _path_arg(args.path)
-    return integrals.signature(path, args.level, cfg).to_json()
+    return integrals.signature(path, args.level).to_json()
 
 
-def _h_ii_compose(series, args, cfg):
+def _h_ii_compose(series, args):
     a, b = (series.TruncatedSeries.from_json(_loads(text)) for text in (args.a, args.b))
     return a.mul(b).to_json()
 
 
-def _h_ii_regularized(integrals, args, cfg):
-    return integrals.regularized_signature(parse_complex(args.x), args.level, cfg,
+def _h_ii_regularized(integrals, args):
+    return integrals.regularized_signature(parse_complex(args.x), args.level,
                                            loop_prefix=args.loop_prefix).to_json()
 
 
-def _h_malcev_exp(malcev, args, cfg):
+def _h_malcev_exp(malcev, args):
     return {"series": malcev.exp_trunc(_series_arg(malcev, args.series, args.level)).to_json()}
 
 
-def _h_malcev_log(malcev, args, cfg):
+def _h_malcev_log(malcev, args):
     return {"series": malcev.log_trunc(_series_arg(malcev, args.series, args.level)).to_json()}
 
 
-def _h_malcev_classify(malcev, args, cfg):
+def _h_malcev_classify(malcev, args):
     return {"class": malcev.classify_coproduct(_series_arg(malcev, args.series, args.level))}
 
 
-def _h_malcev_bch(malcev, args, cfg):
+def _h_malcev_bch(malcev, args):
     a, b = (_series_arg(malcev, text, args.level) for text in (args.a, args.b))
     return {"series": malcev.bch(a, b).to_json()}
 
 
-def _h_malcev_hall_dims(malcev, args, cfg):
+def _h_malcev_hall_dims(malcev, args):
     dims = malcev.hall_dims(args.r)
     return {"dims": dims, "total": sum(dims),
             "representatives": [w for d in range(1, args.r + 1) for w in malcev.lyndon_words(d)]}
 
 
-def _h_malcev_coords(malcev, args, cfg):
+def _h_malcev_coords(malcev, args):
     coords = malcev.malcev_coordinates(args.word, args.level)
     return {"level": args.level, "coordinates": {w: str(c) for w, c in sorted(coords.items())}}
 
@@ -186,7 +185,7 @@ def _fmt_number(v):
     return _cjson(v)
 
 
-def _h_hodge_filtration(hodge, args, cfg):
+def _h_hodge_filtration(hodge, args):
     alpha, beta, lam = _parse_triple(args.F)
     f = hodge.hodge_filtration_from(alpha, beta, lam)
     return {"coordinates": [_fmt_number(x) for x in f.coordinates()],
@@ -194,13 +193,13 @@ def _h_hodge_filtration(hodge, args, cfg):
             "Fm1": [[_fmt_number(x) for x in v] for v in f.generators(-1)]}
 
 
-def _h_hodge_transversal(hodge, args, cfg):
+def _h_hodge_transversal(hodge, args):
     n = hodge.NilpotentEndo(*_parse_triple(args.N, _fraction))
     f = hodge.hodge_filtration_from(*_parse_triple(args.F))
     return {"transversal": hodge.griffiths_transversal(n, f)}
 
 
-def _h_hodge_orbit(hodge, args, cfg):
+def _h_hodge_orbit(hodge, args):
     n = hodge.NilpotentEndo(*_parse_triple(args.N, _fraction))
     f = hodge.hodge_filtration_from(*_parse_triple(args.F))
     result = hodge.generates_nilpotent_orbit(n, f)
@@ -210,7 +209,7 @@ def _h_hodge_orbit(hodge, args, cfg):
             "admissible": result.admissible, "reason": result.reason}
 
 
-def _h_hodge_rmf(hodge, args, cfg):
+def _h_hodge_rmf(hodge, args):
     raw = _loads(args.matrix)
     mat = _rational_rows(raw, "--matrix", len(raw) if isinstance(raw, list) else 0)
     hodge.check_rmf_dim(len(mat))   # before W's elimination
@@ -229,7 +228,7 @@ def _h_hodge_rmf(hodge, args, cfg):
     return {"exists": True, "filtration": m.to_json()}
 
 
-def _h_hodge_chart(hodge, args, cfg):
+def _h_hodge_chart(hodge, args):
     cc = hodge.boundary_chart_point(parse_complex(args.q), parse_complex(args.beta),
                                     parse_complex(getattr(args, "lambda")))
     if cc.kind == "orbit":
@@ -240,31 +239,31 @@ def _h_hodge_chart(hodge, args, cfg):
             "reduction": list(cc.reduction)}
 
 
-def _h_hodge_reduce(hodge, args, cfg):
+def _h_hodge_reduce(hodge, args):
     alpha, beta, lam = _parse_triple(args.coords)
     reduced, g = hodge.reduce_mod_integral(alpha, beta, lam)
     return {"reduced": [_fmt_number(x) for x in reduced],
             "matrix": [[int(x) for x in row] for row in g]}
 
 
-def _h_alb_map(albanese, args, cfg):
-    return albanese.albanese_point(parse_complex(args.x), args.loop_prefix, cfg).to_json()
+def _h_alb_map(albanese, args):
+    return albanese.albanese_point(parse_complex(args.x), args.loop_prefix).to_json()
 
 
-def _h_alb_extend(albanese, args, cfg):
-    q, beta, lam = albanese.extended_albanese(parse_complex(args.x), cfg)
+def _h_alb_extend(albanese, args):
+    q, beta, lam = albanese.extended_albanese(parse_complex(args.x))
     return {"q": _cjson(q), "beta": _cjson(beta), "lambda": _cjson(lam)}
 
 
-def _h_alb_monodromy(albanese, args, cfg):
+def _h_alb_monodromy(albanese, args):
     if (args.word is None) == (args.loop is None):
         raise UsageError("alb monodromy takes exactly one of --word and --loop")
     loop = args.word if args.loop is None else _path_arg(args.loop)
-    return {"matrix": albanese.monodromy_action(loop, cfg).tolist()}
+    return {"matrix": albanese.monodromy_action(loop).tolist()}
 
 
-def _h_selftest(acceptance, args, cfg):
-    results = acceptance.run_acceptance(args.level, cfg)
+def _h_selftest(acceptance, args):
+    results = acceptance.run_acceptance(args.level)
     for r in results:
         print(r.line(), file=sys.stderr)
     return {"level": args.level,
@@ -335,9 +334,6 @@ COMMAND_TABLE = {
 
 _DISPATCH = {tuple(row[0].split()): row for row in COMMAND_TABLE.values()}
 
-_GLOBAL_FLAGS = [("--abs-tol", dict(type=float, dest="abs_tol",
-                                    default=QuadratureConfig.abs_tol))]
-
 
 # exception -> exit code; DomainError is a ValueError
 _EXIT_CODES = ((UsageError, EXIT_USAGE), (BadJson, EXIT_BADJSON),
@@ -375,11 +371,10 @@ def _run(argv):
         raise UsageError(f"unknown subcommand: {' '.join(argv[:2]) or '(none)'}")
     _subcmd, handler, module, flags = _DISPATCH[key]
     parser = _Parser(prog="alblab " + " ".join(key), add_help=False)
-    for flag, kwargs in flags + _GLOBAL_FLAGS:
+    for flag, kwargs in flags:
         parser.add_argument(flag, **kwargs)
     ns = parser.parse_args(rest)
-    cfg = QuadratureConfig(abs_tol=ns.abs_tol)   # rejects a bad abs_tol (exit 1)
-    return handler(importlib.import_module(f"{__package__}.{module}"), ns, cfg), EXIT_OK
+    return handler(importlib.import_module(f"{__package__}.{module}"), ns), EXIT_OK
 
 
 def _run_batch(argv):

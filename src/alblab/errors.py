@@ -1,14 +1,12 @@
 """The input contract shared by every layer: the exceptions behind the CLI
-exit codes, the JSON shape check, complex parsing and the quadrature
-settings.  It needs only the standard library, so exact commands skip numpy.
+exit codes, the JSON shape check and complex parsing.  It needs only the
+standard library, so exact commands skip numpy.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import numbers
-from dataclasses import dataclass
 
 
 class DomainError(ValueError):
@@ -67,11 +65,3 @@ def parse_complex(text: str) -> complex:
     except ValueError as exc:
         raise DomainError(f"cannot parse complex number {text!r}") from exc
 
-
-@dataclass(frozen=True)
-class QuadratureConfig:
-    abs_tol: float = 1e-10
-
-    def __post_init__(self):
-        if not (math.isfinite(self.abs_tol) and self.abs_tol > 0):
-            raise DomainError(f"abs_tol must be positive and finite, got {self.abs_tol}")

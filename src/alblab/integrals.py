@@ -15,15 +15,17 @@ Two independent evaluation routes are kept deliberately separate:
   nested Gauss-Legendre quadrature on uniformly doubled panels.
 
 The two share neither nodes nor refinement rule, so the second
-cross-checks the first at low word length.
+cross-checks the first at low word length.  Both work to the one
+absolute tolerance ABS_TOL, read when they run.
 
-The tangential base point at the puncture 0 (tangent vector +1) is
-reached exactly.  Near 0 the signature has the nilpotent-orbit shape
+Every path is interior.  The tangential base point at the puncture 0
+(tangent vector +1) is the one start on a puncture, and it is reached
+exactly.  Near 0 the signature has the nilpotent-orbit shape
 S(z) = exp(log z·e0)·H(z) with H holomorphic and H(0) = 1 (Deligne
 1989), and ``holomorphic_part`` sums the power series of H.  Every reach
 and every loop starts at the junction point 1/8, so one constant per
-level, S(1/8) = exp(log(1/8)·e0)·H(1/8), turns an interior transport
-from there into a regularized one.  ``tangential_iterated_integral``
+level, S(1/8) = exp(log(1/8)·e0)·H(1/8), turns a transport from
+there into a regularized one.  ``tangential_iterated_integral``
 needs no series: its words start with the letter 1, so the direct
 quadrature runs on the segment from 0 itself.
 """
@@ -37,20 +39,19 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial import chebyshev
 
-from .errors import ConvergenceError, DomainError, QuadratureConfig
+from .errors import ConvergenceError, DomainError
 from .malcev import GroupWord
-from .paths import (JUNCTION_RADIUS, LineSegment, Path, TangentialAnchor,
-                    canonical_reach, loop_from_group_word, make_path)
+from .paths import (JUNCTION_RADIUS, PUNCTURES, LineSegment, Path, canonical_reach,
+                    check_clear, loop_from_group_word, make_path)
 from .series import TruncatedSeries, check_level, exp_letter
 from .words import Word, check_word
 
 
-DEFAULT_CONFIG = QuadratureConfig()
-
 # --- transport route: adaptive spectral panels --------------------------------------
 
+ABS_TOL = 1e-10     # absolute tolerance of both routes
 _CC_NODES = 41      # Chebyshev-Lobatto nodes per panel (degree 40)
-_PANEL_TOL = 1e-3   # tail allowed per panel, as a fraction of abs_tol
+_PANEL_TOL = 1e-3   # tail allowed per panel, as a fraction of ABS_TOL
 _MAX_PANELS = 4096  # panel evaluations one transport may spend before it gives up
 _MAX_REFINEMENTS = 10  # panel doublings the nested quadrature may spend before it gives up
 _NOISE = 64 * np.finfo(float).eps   # tail that rounding alone leaves, relative to the forcing
@@ -104,8 +105,8 @@ def _panel(seg, ends: tuple, y: np.ndarray, level: int, tol: float):
     return out
 
 
-def transport(path: Path, level: int, cfg: QuadratureConfig = DEFAULT_CONFIG) -> np.ndarray:
-    """Signature coefficients of an interior path, as a word-indexed array.
+def transport(path: Path, level: int) -> np.ndarray:
+    """Signature coefficients of a path, as a word-indexed array.
 
     One state is carried through every panel of every segment.  Each
     segment starts as one panel and rejected panels are bisected, left
@@ -117,7 +118,7 @@ def transport(path: Path, level: int, cfg: QuadratureConfig = DEFAULT_CONFIG) ->
     y[0] = 1.0
     if level == 0:
         return y
-    tol = cfg.abs_tol * _PANEL_TOL
+    tol = ABS_TOL * _PANEL_TOL
     budget = _MAX_PANELS
     with np.errstate(over="ignore", invalid="ignore"):   # _panel raises on non-finite forms
         for seg in path.segments:
@@ -129,7 +130,7 @@ def transport(path: Path, level: int, cfg: QuadratureConfig = DEFAULT_CONFIG) ->
                 budget -= 1
                 if budget < 0:
                     raise ConvergenceError(
-                        f"transport did not reach {cfg.abs_tol:g} within {_MAX_PANELS} panels")
+                        f"transport did not reach {ABS_TOL:g} within {_MAX_PANELS} panels")
                 nxt = _panel(seg, ends, y, level, tol)
                 if nxt is None:
                     ta, tb, ua, ub = ends
@@ -140,13 +141,10 @@ def transport(path: Path, level: int, cfg: QuadratureConfig = DEFAULT_CONFIG) ->
     return y
 
 
-def signature(path, r: int, cfg: QuadratureConfig = DEFAULT_CONFIG) -> TruncatedSeries:
-    """Level-r path signature via the transport equation; interior anchors only."""
+def signature(path, r: int) -> TruncatedSeries:
+    """Level-r path signature via the transport equation."""
     check_level(r)
-    path = make_path(path)
-    if not path.is_interior:
-        raise DomainError("signature needs interior anchors; use the regularized variants")
-    return TruncatedSeries(r, transport(path, r, cfg))
+    return TruncatedSeries(r, transport(make_path(path), r))
 
 
 # --- direct quadrature route ----------------------------------------------------
@@ -170,12 +168,12 @@ def _gl_tables(n: int = _GL_NODES):
     return x, w, intmat
 
 
-def _nested_quadrature(path: Path, letters: str, panels: int) -> complex:
+def _nested_quadrature(segments: tuple, letters: str, panels: int) -> complex:
     x, w, intmat = _gl_tables()
     r = len(letters)
     g_start = np.zeros(r + 1, dtype=complex)
     g_start[0] = 1.0
-    for seg in path.segments:
+    for seg in segments:
         for p in range(panels):
             a, b = p / panels, (p + 1) / panels
             scale = (b - a) / 2
@@ -193,36 +191,32 @@ def _nested_quadrature(path: Path, letters: str, panels: int) -> complex:
     return complex(g_start[r])
 
 
-def iterated_integral(word: Word, path, cfg: QuadratureConfig = DEFAULT_CONFIG,
-                      with_error: bool = False):
+def iterated_integral(word: Word, path, with_error: bool = False):
     """Simplex iterated integral of the word along the path, by direct quadrature.
 
     The empty word gives 1.  Panels are doubled until two refinements
-    agree within abs_tol; the independent transport route never enters.
+    agree within ABS_TOL; the independent transport route never enters.
     """
     check_word(word)
-    path = make_path(path)
-    if not path.is_interior:
-        raise DomainError("iterated_integral needs interior anchors")
-    value, err = _refined_quadrature(path, word, cfg)
+    value, err = _refined_quadrature(make_path(path).segments, word)
     return (value, err) if with_error else value
 
 
-def _refined_quadrature(path: Path, word: Word, cfg: QuadratureConfig) -> tuple[complex, float]:
-    """Nested quadrature with panels doubled until two refinements agree within abs_tol."""
+def _refined_quadrature(segments: tuple, word: Word) -> tuple[complex, float]:
+    """Nested quadrature with panels doubled until two refinements agree within ABS_TOL."""
     if word == "":
         return 1.0 + 0j, 0.0
     panels = 2
-    prev = _nested_quadrature(path, word, panels)
+    prev = _nested_quadrature(segments, word, panels)
     for _ in range(_MAX_REFINEMENTS):
         panels *= 2
-        cur = _nested_quadrature(path, word, panels)
+        cur = _nested_quadrature(segments, word, panels)
         err = abs(cur - prev)
-        if err < cfg.abs_tol:
+        if err < ABS_TOL:
             return cur, err
         prev = cur
     raise ConvergenceError(
-        f"quadrature did not reach {cfg.abs_tol:g} within {_MAX_REFINEMENTS} refinements")
+        f"quadrature did not reach {ABS_TOL:g} within {_MAX_REFINEMENTS} refinements")
 
 
 # --- the tangential base point -----------------------------------------------------
@@ -299,8 +293,7 @@ def _base_constant(r: int) -> TruncatedSeries:
     return exp_letter(math.log(JUNCTION_RADIUS), "0", r).mul(_junction_part(r))
 
 
-def regularized_signature(x, r: int = 2, cfg: QuadratureConfig = DEFAULT_CONFIG,
-                          loop_prefix: str = "") -> TruncatedSeries:
+def regularized_signature(x, r: int = 2, loop_prefix: str = "") -> TruncatedSeries:
     """Level-r signature from the tangential base point (0, tangent +1) to x.
 
     The path is the standard reach (junction circle, then radial, around
@@ -318,15 +311,14 @@ def regularized_signature(x, r: int = 2, cfg: QuadratureConfig = DEFAULT_CONFIG,
     path = canonical_reach(x)
     loop = loop_from_group_word(loop_prefix) if loop_prefix else None
     path = path if loop is None else loop.concat(path)
-    return _base_constant(r).mul(TruncatedSeries(r, transport(path, r, cfg)))
+    return _base_constant(r).mul(TruncatedSeries(r, transport(path, r)))
 
 
-def regularized_loop_transport(loop, r: int = 2,
-                               cfg: QuadratureConfig = DEFAULT_CONFIG) -> TruncatedSeries:
+def regularized_loop_transport(loop, r: int = 2) -> TruncatedSeries:
     """Transport of a loop conjugated back to the tangential base point.
 
     ``loop`` is a group word ("0 1 0^-1 1^-1" or a GroupWord), a path
-    spec, or an interior Path based on the positive real axis.  With C
+    spec, or a Path based on the positive real axis.  With C
     the signature from the base point to the loop's base (S(1/8), times
     the reach from 1/8 when the loop starts elsewhere) the result is
     C·S_loop·C^-1.
@@ -345,11 +337,11 @@ def regularized_loop_transport(loop, r: int = 2,
         raise DomainError("loop must be based on the positive real axis")
     conj = _base_constant(r)
     if abs(base - JUNCTION_RADIUS) > 1e-12:
-        conj = conj.mul(TruncatedSeries(r, transport(canonical_reach(base), r, cfg)))
-    return conj.mul(TruncatedSeries(r, transport(loop_path, r, cfg))).mul(conj.inverse())
+        conj = conj.mul(TruncatedSeries(r, transport(canonical_reach(base), r)))
+    return conj.mul(TruncatedSeries(r, transport(loop_path, r))).mul(conj.inverse())
 
 
-def tangential_iterated_integral(word: Word, x, cfg: QuadratureConfig = DEFAULT_CONFIG) -> complex:
+def tangential_iterated_integral(word: Word, x) -> complex:
     """Iterated integral from the tangential base point (0, +1) to x along [0, x].
 
     Only words not starting with the letter "0" converge at the base
@@ -360,5 +352,6 @@ def tangential_iterated_integral(word: Word, x, cfg: QuadratureConfig = DEFAULT_
     check_word(word)
     if word and word[0] == "0":
         raise DomainError("words starting with dz/z diverge at the tangential base point")
-    path = Path((LineSegment(0j, complex(x)),), start_anchor=TangentialAnchor(0))
-    return _refined_quadrature(path, word, cfg)[0]
+    segment = LineSegment(0j, complex(x))
+    check_clear(segment, PUNCTURES[1])
+    return _refined_quadrature((segment,), word)[0]

@@ -3,10 +3,10 @@
 A path is a chain of parametrized pieces, each mapped from [0, 1]: line
 segments, and log segments z = c + (z0 - c) exp(rate t) about the
 puncture c = 0 or 1, which are rays, circular arcs or spirals about it.
-Endpoints may carry tangential anchors at the punctures 0 or 1;
-everything in between must stay away from both punctures.  Named loops
-"gamma0"/"gamma1" are the standard interior representatives of the two
-generating loops, based on the positive real axis at the junction
+Every path is interior: its segments stay away from both punctures, and
+only the regularized routes of ``integrals`` start at the tangential base
+point.  Named loops "gamma0"/"gamma1" are the standard representatives of
+the two generating loops, based on the positive real axis at the junction
 radius; each turns about its puncture on one log segment that ends
 exactly where it starts, whatever the number of turns.
 ``canonical_reach`` is the standard path from the junction point to a
@@ -221,23 +221,22 @@ class LogSegment:
         return rate * (w / z), np.full(t.shape, -rate)
 
 
-@dataclass(frozen=True)
-class TangentialAnchor:
-    puncture: int          # 0 or 1
-    vector: complex = 1.0  # nonzero tangent direction
+def check_clear(seg, p: complex) -> None:
+    """DomainError if the segment touches the puncture p.
 
-    def __post_init__(self):
-        if self.puncture not in (0, 1):
-            raise DomainError("tangential anchor must sit at 0 or 1")
-        if self.vector == 0:
-            raise DomainError("tangent vector must be nonzero")
+    An endpoint may lie arbitrarily close to p, since the forms are taken
+    from the nearer end; the interior must keep a clearance relative to
+    the segment's speed where it passes p.
+    """
+    d = seg.min_distance(p)
+    ends = min(abs(seg.start - p), abs(seg.end - p))
+    if d == 0 or (d < ends and d < _CHAIN_TOL * seg.speed_near(p)):
+        raise DomainError(f"segment passes through the puncture {p.real:g}")
 
 
 @dataclass(frozen=True)
 class Path:
     segments: tuple = ()
-    start_anchor: TangentialAnchor | None = None
-    end_anchor: TangentialAnchor | None = None
 
     def __post_init__(self):
         if not self.segments:
@@ -247,26 +246,7 @@ class Path:
                 raise DomainError("path segments are disconnected")
         for seg in self.segments:
             for p in PUNCTURES:
-                # an endpoint may lie arbitrarily close to a puncture, since the
-                # forms are taken from the nearer end; the interior must keep a
-                # clearance relative to the segment's speed where it passes p
-                d = seg.min_distance(p)
-                ends = min(abs(seg.start - p), abs(seg.end - p))
-                grazes = d < ends and d < _CHAIN_TOL * seg.speed_near(p)
-                if grazes or (d == 0 and not self._endpoint_excused(seg, p)):
-                    raise DomainError(f"segment passes through the puncture {p.real:g}")
-
-    def _endpoint_excused(self, seg, p) -> bool:
-        # endpoints may touch a puncture only with a tangential anchor there
-        if (seg is self.segments[0] and self.start_anchor is not None
-                and p == complex(self.start_anchor.puncture)
-                and abs(seg.start - p) <= _CHAIN_TOL):
-            return True
-        if (seg is self.segments[-1] and self.end_anchor is not None
-                and p == complex(self.end_anchor.puncture)
-                and abs(seg.end - p) <= _CHAIN_TOL):
-            return True
-        return False
+                check_clear(seg, p)
 
     @property
     def start(self) -> complex:
@@ -276,23 +256,16 @@ class Path:
     def end(self) -> complex:
         return self.segments[-1].end
 
-    @property
-    def is_interior(self) -> bool:
-        return self.start_anchor is None and self.end_anchor is None
-
     def concat(self, other: "Path") -> "Path":
         _check_junction(self, other)
-        return Path(self.segments + other.segments, self.start_anchor, other.end_anchor)
+        return Path(self.segments + other.segments)
 
     def reversed(self) -> "Path":
-        return Path(tuple(s.reversed() for s in reversed(self.segments)),
-                    self.end_anchor, self.start_anchor)
+        return Path(tuple(s.reversed() for s in reversed(self.segments)))
 
 
 def _check_junction(first: Path, second: Path) -> None:
     """DomainError unless ``second`` can follow ``first``."""
-    if first.end_anchor is not None or second.start_anchor is not None:
-        raise DomainError("cannot concatenate across a tangential anchor")
     if abs(first.end - second.start) > _CHAIN_TOL:
         raise DomainError("paths do not chain")
 
@@ -314,29 +287,36 @@ def loop_gamma1(turns: int = 1) -> Path:
                  LineSegment(turn, JUNCTION_RADIUS)))
 
 
+# the key that names each form of a path spec, and the keys it may add
+_SPEC_FORMS = {"waypoints": set(), "loop": {"turns"}, "compose": set()}
+
+
 def make_path(spec) -> Path:
     """Build a validated path from its JSON-style description.
 
-    Accepted forms: {"waypoints": [...]}, {"loop": "gamma0"|"gamma1",
-    "turns": k}, {"compose": [spec, ...]}, plus optional
-    {"tangential_start"/"tangential_end": {"at": 0|1, "vector": [re, im]}}
-    alongside waypoints.
+    A spec names exactly one form and no key besides it:
+    {"waypoints": [...]}, {"loop": "gamma0"|"gamma1", "turns": k} with
+    turns optional, or {"compose": [spec, ...]}.
     """
     if isinstance(spec, Path):
         return spec
     expect(isinstance(spec, dict), "path spec must be a JSON object")
+    forms = [k for k in _SPEC_FORMS if k in spec]
+    expect(len(forms) == 1, 'a path spec names exactly one of "waypoints", "loop" and "compose"')
+    form = forms[0]
+    extra = sorted(set(spec) - _SPEC_FORMS[form] - {form})
+    expect(not extra, f"a {form} spec takes no key {', '.join(map(repr, extra))}")
 
-    if "compose" in spec:
+    if form == "compose":
         expect(isinstance(spec["compose"], list), "compose needs a list of path specs")
         if not spec["compose"]:
             raise DomainError("compose needs a non-empty list of path specs")
         parts = [make_path(s) for s in spec["compose"]]
         for a, b in zip(parts, parts[1:]):
             _check_junction(a, b)
-        return Path(tuple(seg for p in parts for seg in p.segments),
-                    parts[0].start_anchor, parts[-1].end_anchor)
+        return Path(tuple(seg for p in parts for seg in p.segments))
 
-    if "loop" in spec:
+    if form == "loop":
         turns = spec.get("turns", 1)
         expect(is_json_int(turns) and abs(turns) <= 2 ** 53,
                f"turns must be an integer of size at most 2**53, got {turns!r}")
@@ -347,33 +327,15 @@ def make_path(spec) -> Path:
             return loop_gamma1(turns)
         raise DomainError(f"unknown named loop {name!r}")
 
-    start_anchor = _parse_anchor(spec.get("tangential_start"))
-    end_anchor = _parse_anchor(spec.get("tangential_end"))
-    waypoints = spec.get("waypoints", [])
+    waypoints = spec["waypoints"]
     expect(isinstance(waypoints, list), "waypoints must be a list")
-    waypoints = [as_complex(w) for w in waypoints]
-
-    points: list[complex] = []
-    if start_anchor is not None:
-        points.append(complex(start_anchor.puncture))
-    points.extend(waypoints)
-    if end_anchor is not None:
-        points.append(complex(end_anchor.puncture))
+    points = [as_complex(w) for w in waypoints]
     if len(points) < 2:
         raise DomainError("need at least two waypoints")
-    for w in waypoints:
+    for w in points:
         if min(abs(w - p) for p in PUNCTURES) < _CHAIN_TOL:
             raise DomainError(f"waypoint {w} is a puncture")
-    segments = tuple(LineSegment(a, b) for a, b in zip(points, points[1:]))
-    return Path(segments, start_anchor, end_anchor)
-
-
-def _parse_anchor(data) -> TangentialAnchor | None:
-    if data is None:
-        return None
-    expect(isinstance(data, dict) and is_json_int(data.get("at")),
-           'a tangential anchor is {"at": 0|1, "vector": [re, im]}')
-    return TangentialAnchor(data["at"], as_complex(data.get("vector", [1, 0])))
+    return Path(tuple(LineSegment(a, b) for a, b in zip(points, points[1:])))
 
 
 def canonical_reach(x: complex) -> Path:

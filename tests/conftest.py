@@ -1,12 +1,6 @@
 import numpy as np
 import pytest
 
-from alblab.integrals import QuadratureConfig
-
-
-@pytest.fixture
-def cfg():
-    return QuadratureConfig()
 
 
 @pytest.fixture

@@ -2,14 +2,14 @@
 
 import pytest
 
-from alblab.acceptance import ALL_CRITERIA, EXACT_CRITERIA, run_acceptance
-from alblab.integrals import DEFAULT_CONFIG
+from alblab import integrals
+from alblab.acceptance import ALL_CRITERIA, run_acceptance
 
 
 @pytest.mark.parametrize("criterion", ALL_CRITERIA,
                          ids=lambda fn: fn.__name__.replace("criterion_", ""))
 def test_criterion(criterion):
-    result = criterion() if criterion in EXACT_CRITERIA else criterion(DEFAULT_CONFIG)
+    result = criterion()
     print(result.line())
     assert result.passed, result.line()
 
@@ -21,13 +21,12 @@ def test_quick_suite_is_green():
     assert all(r.passed for r in results)
 
 
-def test_corrupted_tolerance_reports_failures():
-    # abs_tol = 1 degrades the transport accuracy; the suite must report
+def test_corrupted_tolerance_reports_failures(monkeypatch):
+    # a tolerance of 1 degrades the transport accuracy; the suite must report
     # quantified nonzero failure counts instead of raising
     from alblab.acceptance import criterion_shuffle_suite
-    from alblab.integrals import QuadratureConfig
-    bad = QuadratureConfig(abs_tol=1.0)
-    result = criterion_shuffle_suite(bad, n_paths=4)
+    monkeypatch.setattr(integrals, "ABS_TOL", 1.0)
+    result = criterion_shuffle_suite(n_paths=4)
     assert not result.passed
     assert result.failures > 0
     assert result.max_error > result.tolerance
@@ -39,12 +38,12 @@ def test_mhs_criterion_reads_the_computed_generators(monkeypatch):
     from alblab.acceptance import criterion_mhs_morphism
     true_action = albanese.monodromy_action
 
-    def shifted(word, cfg):
-        g = true_action(word, cfg)
+    def shifted(word):
+        g = true_action(word)
         if word == "0":
             g[0][2] += 1
         return g
 
     monkeypatch.setattr(albanese, "monodromy_action", shifted)
-    result = criterion_mhs_morphism(DEFAULT_CONFIG)
+    result = criterion_mhs_morphism()
     assert not result.passed and result.failures == 1

@@ -164,11 +164,10 @@ class TestExitCodes:
         assert code == EXIT_DOMAIN
 
     def test_numeric_error(self, capsys):
-        # a tolerance below the roundoff floor of a near-singular sweep
-        code, out = run(capsys, ["ii", "eval", "--word", "11",
-                                 "--path", '{"waypoints":[[0.5,0.001],[0.999,0.001],[0.5,0.5]]}',
-                                 "--abs-tol", "1e-16"])
+        # a thousand turns cannot be resolved to the fixed tolerance within the panel budget
+        code, out = run(capsys, ["ii", "signature", "--path", '{"loop":"gamma0","turns":1000}'])
         assert code == EXIT_NUMERIC
+        assert out == {"error": "transport did not reach 1e-10 within 4096 panels"}
 
     def test_targets_at_the_end_of_the_float_range(self, capsys):
         code, _ = run(capsys, ["alb", "map", "--x", "1e308"])
@@ -240,10 +239,31 @@ class TestExitCodes:
         assert code == EXIT_USAGE
 
     def test_non_finite_tolerance(self, capsys):
-        for tol in ("nan", "inf"):
-            code, out = run(capsys, ["alb", "map", "--x", "0.5", "--abs-tol", tol])
-            assert code == EXIT_DOMAIN
-            assert "finite" in out["error"]
+        # the tolerance is fixed: --abs-tol is no flag, whatever its value
+        for argv in (["alb", "map", "--x", "0.5"], ["words", "basis", "--r", "1"],
+                     ["ii", "eval", "--word", "0", "--path", '{"loop":"gamma0"}']):
+            for tol in ("nan", "inf", "1e-6", "1e-10"):
+                code, out = run(capsys, argv + ["--abs-tol", tol])
+                assert code == EXIT_USAGE
+                assert "--abs-tol" in out["error"]
+
+    @pytest.mark.parametrize("spec", [
+        '{"loop":"gamma0","turn":3}', '{"loop":"gamma1","turns":2,"waypoints":[0.5,0.25]}',
+        '{"compose":[{"loop":"gamma0"}],"waypoints":[0.125,0.25]}',
+        '{"waypoints":[0.125,0.25],"loops":"gamma1"}', '{"waypoints":[0.5,0.25],"turns":2}',
+        '{"compose":[{"loop":"gamma0"}],"turns":2}', '{}', '{"turns":2}',
+        '{"tangential_start":{"at":0,"vector":[1,0]},"waypoints":[0.5]}',
+        '{"waypoints":[0.5,0.25],"tangential_end":{"at":1}}',
+        '{"compose":[{"tangential_start":{"at":0},"waypoints":[0.125]},{"loop":"gamma0"}]}',
+    ])
+    def test_path_spec_names_one_form(self, capsys, spec):
+        # a spec names exactly one of waypoints, loop (with turns) and compose,
+        # and no other key; any other key is a shape error, not ignored
+        for argv in (["ii", "path", "--spec", spec], ["alb", "monodromy", "--loop", spec],
+                     ["ii", "signature", "--path", spec]):
+            code, out = run(capsys, argv)
+            assert code == EXIT_BADJSON
+            assert "spec" in out["error"]
 
     @pytest.mark.parametrize("argv", [
         ["malcev", "exp", "--series", '{"level":true,"coefficients":{"0":"1"}}'],
@@ -258,6 +278,7 @@ class TestExitCodes:
         ["ii", "path", "--spec", '{"loop":"gamma0","turns":true}'],
         ["ii", "path", "--spec", '{"waypoints":[[true,false],[0.5,0]]}'],
         ["ii", "path", "--spec", '{"waypoints":[true,0.5]}'],
+        # a retired tangential anchor is refused whatever its "at"
         ["ii", "path", "--spec", '{"tangential_start":{"at":true,"vector":[1,0]},"waypoints":[0.5]}'],
     ], ids=["exp-level", "bch-level", "exp-rational", "shuffle-rational", "compose-level",
             "compose-pair", "turns", "waypoint-pair", "waypoint", "anchor-at"])
@@ -400,6 +421,8 @@ _POOL = (
     '{"compose":[5]}', '{"compose":{}}', '{"tangential_start":5,"waypoints":[0.5]}',
     '{"tangential_start":{"at":null},"waypoints":[0.5]}',
     '{"tangential_start":{"at":0,"vector":"x"},"waypoints":[0.5]}',
+    '{"loop":"gamma0","turn":3}', '{"compose":[{"loop":"gamma0"}],"waypoints":[0.125,0.25]}',
+    '{"waypoints":[0.125,0.25],"loops":"gamma1"}', '{"turns":2}',
     '{"-4":[[1]]}', '{"x":[[1]]}', '{"0":[["1"]]}', '{"0":[[1,2]]}',
     '{"degree":5}', '{"degree":{"0":"x"}}', '{"d":{"0":5}}', '{"wedge":{"0,1":{"a":"1"}}}',
     "0^1000000", "0 1^-1", "0^-1 1", "2^3", "1,1", "1,1,1", "1,2,x", "1/0,0,0", "0,0,0",
@@ -414,7 +437,7 @@ _ALLOWED_EXITS = {EXIT_OK, EXIT_DOMAIN, EXIT_NUMERIC, EXIT_USAGE, EXIT_BADJSON}
 def _argv(draw):
     sub, flags = draw(st.sampled_from(_COMMANDS))
     argv = sub.split()
-    for flag, _kwargs in flags + [("--abs-tol", {})]:
+    for flag, _kwargs in flags:
         if draw(st.booleans()):
             argv += [f"{flag}={draw(st.sampled_from(_POOL))}"]
     return argv
@@ -479,7 +502,7 @@ class TestSubcommands:
     def test_ii_path(self, capsys):
         code, out = run(capsys, ["ii", "path", "--spec", '{"loop":"gamma1","turns":1}'])
         assert code == EXIT_OK
-        assert out["segments"] == 3 and out["interior"]
+        assert out == {"segments": 3, "start": [0.125, 0.0], "end": [0.125, 0.0]}
 
     def test_ii_signature_and_compose(self, capsys):
         _, sig = run(capsys, ["ii", "signature", "--path",
@@ -693,9 +716,30 @@ class TestBatch:
         assert code == EXIT_BADJSON
 
 
+FLOAT_FROZEN = json.loads((Path(__file__).parent / "float_frozen.json").read_text())
+
+
+class TestFrozenFloatOutput:
+    """Float CLI answers pinned byte for byte at the default tolerance.
+
+    Each case is an argv, its exit code and its stdout, captured through
+    ``alblab.cli`` while the tolerance was still a per-call setting:
+    ``alb map`` near 0, near 1, on the cut beyond 1, in the bulk and with
+    a loop prefix, ``alb extend``, ``alb monodromy`` by word and by loop,
+    ``ii regularized`` at levels 2 and 4, ``ii signature`` of a polyline
+    and of a compose of gamma0 and gamma1, and ``ii eval``.
+    """
+
+    @pytest.mark.parametrize("case", FLOAT_FROZEN["cases"],
+                             ids=lambda c: " ".join(c["argv"]))
+    def test_cli_output_is_unchanged(self, capsys, case):
+        code = run_command(case["argv"])
+        assert (code, capsys.readouterr().out.strip()) == (case["exit"], case["output"])
+
+
 class TestEnvironment:
     def test_env_tolerance_override(self, capsys, monkeypatch):
-        # retired: --abs-tol is the one way to set the tolerance
+        # retired: the quadrature tolerance is the constant integrals.ABS_TOL
         argv = ["alb", "map", "--x", "0.5"]
         assert run_command(argv) == EXIT_OK
         plain = capsys.readouterr().out
