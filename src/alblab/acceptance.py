@@ -68,8 +68,16 @@ def _result(number, name, tol, errors, start, details="", hard_failures=0):
                            time.time() - start, details)
 
 
-def random_interior_path(rng, n_waypoints: int = 3, margin: float = 0.15) -> Path:
-    """Random polyline staying ``margin`` away from both punctures."""
+# Sampling constants: each seeded criterion's seed, and the sizes that quick and full share
+SHUFFLE_SEED, COMPOSITION_SEED, ORBIT_SEED, RMF_SEED = 11, 23, 5, 17
+MONODROMY_SEED, MALCEV_SEED, DIFFERENTIAL_SEED = 31, 41, 59
+MONODROMY_WORDS, DIFFERENTIAL_POINTS = 10, 10   # random words of criterion 6, points of 11
+PATH_MARGIN = 0.15   # distance of a random interior path from both punctures
+FRACTION_NUM_MAX, FRACTION_DEN_MAX = 8, 6   # random rationals p/q, |p| <= 8, 1 <= q <= 6
+
+
+def random_interior_path(rng, n_waypoints: int = 3) -> Path:
+    """Random polyline staying PATH_MARGIN away from both punctures."""
     while True:
         pts = [complex(rng.uniform(-1.2, 2.0), rng.uniform(-1.0, 1.0))
                for _ in range(n_waypoints)]
@@ -77,7 +85,7 @@ def random_interior_path(rng, n_waypoints: int = 3, margin: float = 0.15) -> Pat
             path = make_path({"waypoints": [[p.real, p.imag] for p in pts]})
         except DomainError:   # a waypoint or segment on a puncture
             continue
-        if all(seg.min_distance(p) >= margin for seg in path.segments for p in (0, 1)):
+        if all(seg.min_distance(p) >= PATH_MARGIN for seg in path.segments for p in (0, 1)):
             return path
 
 
@@ -94,9 +102,9 @@ def criterion_dilog_anchor() -> CriterionResult:
                    "series oracle sum x^n/n^2 at x = 1/2")
 
 
-def criterion_shuffle_suite(n_paths: int = 50, seed: int = 11) -> CriterionResult:
+def criterion_shuffle_suite(n_paths: int = 50) -> CriterionResult:
     start = time.time()
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(SHUFFLE_SEED)
     pairs = [(u, v) for u in word_basis(3) for v in word_basis(3)
              if u and v and len(u) + len(v) <= 4]
     errors = []
@@ -114,9 +122,9 @@ def criterion_shuffle_suite(n_paths: int = 50, seed: int = 11) -> CriterionResul
                    f"{len(pairs)} word pairs x {n_paths} paths", hard)
 
 
-def criterion_composition_suite(n_splits: int = 50, seed: int = 23) -> CriterionResult:
+def criterion_composition_suite(n_splits: int = 50) -> CriterionResult:
     start = time.time()
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(COMPOSITION_SEED)
     errors = []
     hard = 0
     for _ in range(n_splits):
@@ -134,14 +142,14 @@ def criterion_composition_suite(n_splits: int = 50, seed: int = 23) -> Criterion
                    f"{n_splits} random splits at level 3", hard)
 
 
-def _random_fraction(rng, den_max=6, num_max=8) -> Fraction:
-    return Fraction(int(rng.integers(-num_max, num_max + 1)),
-                    int(rng.integers(1, den_max + 1)))
+def _random_fraction(rng) -> Fraction:
+    return Fraction(int(rng.integers(-FRACTION_NUM_MAX, FRACTION_NUM_MAX + 1)),
+                    int(rng.integers(1, FRACTION_DEN_MAX + 1)))
 
 
-def criterion_orbit_criterion(n_random: int = 1000, seed: int = 5) -> CriterionResult:
+def criterion_orbit_criterion(n_random: int = 1000) -> CriterionResult:
     start = time.time()
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(ORBIT_SEED)
     mismatches = 0
     checks = 0
     small = [Fraction(v) for v in (-1, 0, 1)] + [Fraction(1, 2)]
@@ -300,9 +308,9 @@ def rmf_brute_force(mat, w: WeightFiltrationGeneric):
     return solutions
 
 
-def criterion_rmf(n_cases: int = 200, seed: int = 17) -> CriterionResult:
+def criterion_rmf(n_cases: int = 200) -> CriterionResult:
     start = time.time()
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(RMF_SEED)
     failures = 0
     checks = 0
     found_both = 0
@@ -331,9 +339,9 @@ def criterion_rmf(n_cases: int = 200, seed: int = 17) -> CriterionResult:
                    f"{checks} instances, search confirmed {found_both}")
 
 
-def criterion_monodromy_integrality(n_words: int = 10, seed: int = 31) -> CriterionResult:
+def criterion_monodromy_integrality() -> CriterionResult:
     start = time.time()
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(MONODROMY_SEED)
     frozen = regression_constants()["monodromy_matrices"]
     errors = []
     hard = 0
@@ -349,7 +357,7 @@ def criterion_monodromy_integrality(n_words: int = 10, seed: int = 31) -> Criter
     for word, g in list(basic.items()):
         inv[word + "^-1"] = np.linalg.inv(g).astype(int)
     words = []
-    for _ in range(n_words):
+    for _ in range(MONODROMY_WORDS):
         length = int(rng.integers(1, 5))
         letters = [str(rng.integers(0, 2)) + ("" if rng.random() < 0.5 else "^-1")
                    for _ in range(length)]
@@ -365,7 +373,7 @@ def criterion_monodromy_integrality(n_words: int = 10, seed: int = 31) -> Criter
             expected = expected @ (inv[tok] if tok.endswith("^-1") else basic[tok])
         errors.append(float(np.max(np.abs(g - expected))))
     return _result(6, "monodromy integrality + homomorphy", 1e-6, errors, start,
-                   f"gamma0, gamma1 and {n_words} random words", hard)
+                   f"gamma0, gamma1 and {MONODROMY_WORDS} random words", hard)
 
 
 def criterion_heisenberg() -> CriterionResult:
@@ -405,7 +413,7 @@ def criterion_boundary_limit() -> CriterionResult:
                    "x = 1e-1 .. 1e-4 on the real axis", hard)
 
 
-def criterion_malcev_exactness(seed: int = 41) -> CriterionResult:
+def criterion_malcev_exactness() -> CriterionResult:
     start = time.time()
     failures = 0
     checks = 0
@@ -421,7 +429,7 @@ def criterion_malcev_exactness(seed: int = 41) -> CriterionResult:
     e1 = ExactSeries.letter("1", 2)
     expected = e0.add(e1).add(e0.bracket(e1).scale(Fraction(1, 2)))
     check(bch(e0, e1).coeffs == expected.coeffs)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(MALCEV_SEED)
     for _ in range(5):
         a = ExactSeries(2, {"0": _random_fraction(rng), "1": _random_fraction(rng)})
         b = ExactSeries(2, {"0": _random_fraction(rng), "1": _random_fraction(rng)})
@@ -455,13 +463,13 @@ def criterion_mhs_morphism() -> CriterionResult:
                    f"perturbed N0 {'detected' if detects else 'missed'}")
 
 
-def criterion_differential_relation(n_points: int = 10, seed: int = 59) -> CriterionResult:
+def criterion_differential_relation() -> CriterionResult:
     start = time.time()
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(DIFFERENTIAL_SEED)
     h = 1e-4
     errors = []
     hard = 0
-    for _ in range(n_points):
+    for _ in range(DIFFERENTIAL_POINTS):
         x = complex(rng.uniform(0.15, 0.85), rng.uniform(0.1, 0.8) * (1 if rng.random() < 0.5 else -1))
         step = h * complex(math.cos(a := rng.uniform(0, 2 * math.pi)), math.sin(a))
         try:
@@ -476,7 +484,7 @@ def criterion_differential_relation(n_points: int = 10, seed: int = 59) -> Crite
         errors.append(abs(dbeta - step / (1 - x) / TWO_PI_I))
         errors.append(abs(dlam - b0 * dalpha))
     return _result(11, "coordinate differential relations", 1e-6, errors, start,
-                   f"central differences at step {h:g} on {n_points} points", hard)
+                   f"central differences at step {h:g} on {DIFFERENTIAL_POINTS} points", hard)
 
 
 ALL_CRITERIA = [

@@ -1,11 +1,11 @@
 """Command-line front end.
 
 Every library operation is reachable from exactly one subcommand (the
-table at the bottom is what the coverage test checks).  Output is JSON
-with sorted keys and fixed separators, so identical inputs produce
+table at the bottom is what the coverage test checks).  Output is strict
+JSON with sorted keys and fixed separators, so identical inputs produce
 byte-identical bytes.  Exit codes: 0 success, 1 domain error, 2
-numerical non-convergence, 64 unknown subcommand or usage error, 65
-malformed JSON.
+numerical non-convergence or a non-finite answer, 64 unknown subcommand
+or usage error, 65 malformed JSON.
 """
 
 from __future__ import annotations
@@ -340,10 +340,20 @@ _EXIT_CODES = ((UsageError, EXIT_USAGE), (BadJson, EXIT_BADJSON),
                (ValueError, EXIT_DOMAIN), (ConvergenceError, EXIT_NUMERIC))
 
 
-def _answer(argv) -> tuple[int, dict | None]:
-    """(exit code, output or {"error": ...}) of one invocation."""
+def _dumps(out) -> str:
+    """Strict JSON: a NaN or an infinity raises ValueError instead of printing."""
+    return json.dumps(out, sort_keys=True, separators=(",", ":"), allow_nan=False)
+
+
+def _answer(argv) -> tuple[int, dict]:
+    """(exit code, output or {"error": ...}) of one invocation; the output is strict JSON."""
     try:
         out, code = _run(argv)
+        try:
+            _dumps(out)
+        except ValueError as exc:
+            raise ConvergenceError(f"non-finite output from {' '.join(argv[:2])}: "
+                                   "JSON has no NaN or infinity") from exc
     except (UsageError, BadJson, ValueError, ConvergenceError) as exc:
         code = next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))
         return code, {"error": str(exc)}
@@ -353,8 +363,7 @@ def _answer(argv) -> tuple[int, dict | None]:
 def run_command(argv: list[str]) -> int:
     """Execute one CLI invocation; prints JSON to stdout, returns the exit code."""
     code, out = _answer(argv)
-    if out is not None:
-        print(json.dumps(out, sort_keys=True, separators=(",", ":")))
+    print(_dumps(out))
     return code
 
 

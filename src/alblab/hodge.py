@@ -2,20 +2,21 @@
 
 The lattice data is the fixed rank-3 example: weights -4, -2, 0 with
 one-dimensional graded pieces, Hodge numbers concentrated in types
-(0,0), (-1,-1), (-2,-2).  Filtrations F(alpha, beta, lambda) biject
-with unipotent upper-triangular matrices; a nilpotent direction
+(0,0), (-1,-1), (-2,-2).  A flag F(alpha, beta, lambda) is its three
+coordinates, from which it builds its generators; a nilpotent direction
 (a, b, c) pairs with F into a nilpotent orbit exactly when
 c = a*beta - b*alpha.  On exact flags this module decides it both by
 that closed criterion and independently by span membership; on float
 flags, where transversality is the same equation, by the criterion
 within CRITERION_TOL.
 
-Admissibility is the existence of the relative monodromy filtration M of
-(N, W).  ``relative_monodromy_filtration`` builds it in one bottom-up pass
-over the weights (Jordan chains on each graded piece of W, their tops
-corrected into the part already built); its pure case, a single weight,
-is Deligne's monodromy filtration.  ``verify_relative_monodromy`` checks
-both defining conditions directly.
+Every such orbit is admissible: each (a, b, c) maps W_k into W_{k-2}, so
+the relative monodromy filtration M(N, W) is W itself (Steenbrink-Zucker
+1985).  For any (N, W), ``relative_monodromy_filtration`` builds M in one
+bottom-up pass over the weights (Jordan chains on each graded piece of W,
+their tops corrected into the part already built); its pure case, a
+single weight, is Deligne's monodromy filtration.
+``verify_relative_monodromy`` checks both defining conditions directly.
 
 Exact rational arithmetic is used whenever every input is rational.
 """
@@ -126,65 +127,47 @@ LAMBDA = LambdaData()
 
 @dataclass(frozen=True)
 class HodgeFiltration:
-    """Decreasing flag F^0 ⊂ F^{-1} ⊂ F^{-2} = C^3 with dims (1, 2, 3)."""
+    """The flag F^0 ⊂ F^{-1} ⊂ F^{-2} = C^3 of F(alpha, beta, lambda).
 
-    f0: tuple           # one generator
-    fm1: tuple          # two generators (the first is the F^0 one)
+    The coordinates are Fractions when all three are rational, otherwise
+    all three are complex.
+    """
 
-    def __post_init__(self):
-        if len(self.f0) != 1 or len(self.fm1) != 2:
-            raise DomainError("flag needs dims (1, 2)")
+    alpha: object
+    beta: object
+    lam: object
 
     @property
     def exact(self) -> bool:
-        return all(_is_exact(*v) for v in self.fm1)
+        return isinstance(self.alpha, Fraction)
+
+    def coordinates(self) -> tuple:
+        return self.alpha, self.beta, self.lam
 
     def generators(self, p: int) -> list:
+        """F^0 = <e3 + alpha e2 + lambda e1>, F^{-1} adding e2 + beta e1."""
         if p >= 1:
             return []
-        if p == 0:
-            return [list(self.f0[0])]
-        if p == -1:
-            return [list(v) for v in self.fm1]
-        return [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
-
-    def coordinates(self):
-        """Recover (alpha, beta, lambda); inverse of hodge_filtration_from."""
-        g = self.f0[0]
-        if g[2] == 0:
-            raise DomainError("flag is not in the unipotent orbit of the base flag")
-        lam, alpha = g[0] / g[2], g[1] / g[2]
-        # beta from a generator of F^{-1} that keeps an e2 part modulo F^0
-        beta = None
-        for w in self.fm1:
-            u = [w[0] - w[2] * lam, w[1] - w[2] * alpha, 0]  # subtract the F^0 part
-            if u[1] != 0:
-                beta = u[0] / u[1]
-                break
-        if beta is None:
-            raise DomainError("flag is not in the unipotent orbit of the base flag")
-        return alpha, beta, lam
+        if p <= -2:
+            return [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+        one = Fraction(1) if self.exact else 1.0
+        g0 = [self.lam, self.alpha, one]
+        return [g0] if p == 0 else [g0, [self.beta, one, one - one]]
 
 
 def hodge_filtration_from(alpha, beta, lam) -> HodgeFiltration:
-    """The flag with F^0 = <e3 + alpha e2 + lambda e1>, F^{-1} adding e2 + beta e1.
-
-    The generators (lambda, alpha, 1) and (beta, 1, 0) are independent
-    for every finite entry.
-    """
-    exact = _is_exact(alpha, beta, lam)
-    if not exact:
-        try:
-            finite = all(cmath.isfinite(v) for v in (alpha, beta, lam))
-        except OverflowError:   # a rational past the float range beside a float
-            finite = False
-        if not finite:
-            raise DomainError("flag entries must be finite and within the float range")
-    one = Fraction(1) if exact else 1.0
-    zero = one - one
-    g0 = (lam, alpha, one)
-    g1 = (beta, one, zero)
-    return HodgeFiltration((g0,), (g0, g1))
+    """The flag F(alpha, beta, lambda); its generators (lambda, alpha, 1) and
+    (beta, 1, 0) are independent for every finite entry."""
+    if _is_exact(alpha, beta, lam):
+        return HodgeFiltration(Fraction(alpha), Fraction(beta), Fraction(lam))
+    try:
+        coords = tuple(complex(v) for v in (alpha, beta, lam))
+        finite = all(cmath.isfinite(v) for v in coords)
+    except OverflowError:   # a rational past the float range beside a float
+        finite = False
+    if not finite:
+        raise DomainError("flag entries must be finite and within the float range")
+    return HodgeFiltration(*coords)
 
 
 @dataclass(frozen=True)
@@ -224,8 +207,7 @@ def griffiths_transversal(n: NilpotentEndo, f: HodgeFiltration) -> bool:
     so a float flag is decided by that equation within CRITERION_TOL.
     """
     if not f.exact:
-        alpha, beta, _ = f.coordinates()
-        return abs(complex(n.c - (n.a * beta - n.b * alpha))) <= CRITERION_TOL
+        return abs(n.c - (n.a * f.beta - n.b * f.alpha)) <= CRITERION_TOL
     mat = n.matrix()
     for p in (0, -1):
         span = linalg.Subspace.span(f.generators(p - 1), 3)
@@ -238,9 +220,8 @@ def griffiths_transversal(n: NilpotentEndo, f: HodgeFiltration) -> bool:
 class OrbitResult:
     generates: bool
     criterion_defect: object      # c - (a*beta - b*alpha)
-    transversal: bool
-    admissible: bool
     reason: str
+    admissible = True   # every N maps W_k into W_{k-2}, so Gr^W N = 0 and M(N, W) = W
 
     def __bool__(self) -> bool:
         return self.generates
@@ -249,30 +230,24 @@ class OrbitResult:
 def generates_nilpotent_orbit(n: NilpotentEndo, f: HodgeFiltration) -> OrbitResult:
     """Nilpotent-orbit criterion for (R_{>=0} N, F): c = a*beta - b*alpha.
 
-    Admissibility is decided by actually computing the relative
-    monodromy filtration, and positivity at infinity is vacuous here
-    because the period domain is the whole unipotent group; on exact
-    flags the result is cross-checked against the span-membership route
-    of transversality.
+    Admissibility is the lemma of OrbitResult.admissible, and positivity at
+    infinity is vacuous because the period domain is the whole unipotent
+    group.  An exact flag is cross-checked against the span-membership
+    route of transversality; a float flag's reason shows the defect as [re,im].
     """
-    alpha, beta, lam = f.coordinates()
-    defect = n.c - (n.a * beta - n.b * alpha)
-    if _is_exact(alpha, beta, lam):
+    defect = n.c - (n.a * f.beta - n.b * f.alpha)
+    if f.exact:
         criterion = defect == 0
+        if criterion != griffiths_transversal(n, f):
+            raise RuntimeError(f"criterion and transversality disagree at N={n}, "
+                               f"coords={f.coordinates()}")
+        shown = str(defect)
     else:
-        criterion = abs(complex(defect)) <= CRITERION_TOL
-    transversal = griffiths_transversal(n, f)
-    if criterion != transversal:
-        raise RuntimeError(f"criterion and transversality disagree at N={n}, "
-                           f"coords={(alpha, beta, lam)}")
-    m = relative_monodromy_filtration(n, LAMBDA.weights)
-    admissible = m is not None
-    generates = criterion and admissible
+        criterion = abs(defect) <= CRITERION_TOL
+        shown = f"[{defect.real!r},{defect.imag!r}]"
     reason = "criterion c = a*beta - b*alpha " + ("holds" if criterion else
-                                                  f"fails (defect {defect})")
-    if not admissible:
-        reason += "; no relative monodromy filtration"
-    return OrbitResult(generates, defect, transversal, admissible, reason)
+                                                  f"fails (defect {shown})")
+    return OrbitResult(criterion, defect, reason)
 
 
 # --- relative monodromy filtrations ------------------------------------------------
@@ -456,19 +431,6 @@ def verify_relative_monodromy(n, w: WeightFiltrationGeneric,
 # --- the boundary chart --------------------------------------------------------------
 
 @dataclass(frozen=True)
-class BoundaryChartPoint:
-    """Point (q, beta, lambda) of the boundary chart; beta = 0 when q = 0."""
-
-    q: complex
-    beta: complex
-    lam: complex
-
-    def __post_init__(self):
-        if self.q == 0 and self.beta != 0:
-            raise DomainError("chart needs beta = 0 on the boundary q = 0")
-
-
-@dataclass(frozen=True)
 class ChartClass:
     """Image of a chart point: an interior class or a rank-1 nilpotent orbit."""
 
@@ -492,12 +454,14 @@ def reduce_mod_integral(alpha, beta, lam):
 def boundary_chart_point(q, beta, lam) -> ChartClass:
     """Class of a chart point: q != 0 gives F(alpha, beta, lambda) with
     q = exp(2 pi i alpha); q = 0 gives the rank-1 orbit through F(0, 0, lambda)."""
-    point = BoundaryChartPoint(complex(q), complex(beta), complex(lam))
-    if point.q == 0:
-        reduced, _ = reduce_mod_integral(0.0, 0.0, point.lam)
+    q, beta, lam = complex(q), complex(beta), complex(lam)
+    if q == 0:
+        if beta != 0:
+            raise DomainError("chart needs beta = 0 on the boundary q = 0")
+        reduced, _ = reduce_mod_integral(0.0, 0.0, lam)
         return ChartClass(kind="orbit", orbit_generator=NilpotentEndo(1, 0, 0),
                           orbit_lambda=reduced[2])
-    alpha = cmath.log(point.q) / TWO_PI_I
-    reduced, g = reduce_mod_integral(alpha, point.beta, point.lam)
+    alpha = cmath.log(q) / TWO_PI_I
+    reduced, g = reduce_mod_integral(alpha, beta, lam)
     return ChartClass(kind="interior", coords=reduced,
                       reduction=tuple(int(g[i][j]) for i, j in ((1, 2), (0, 1), (0, 2))))

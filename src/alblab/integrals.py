@@ -16,7 +16,12 @@ Two independent evaluation routes are kept deliberately separate:
 
 The two share neither nodes nor refinement rule, so the second
 cross-checks the first at low word length.  Both work to the one
-absolute tolerance ABS_TOL, read when they run.
+tolerance ABS_TOL, read when they run, in mixed form: each coefficient
+c is within ABS_TOL·max(1, |c|), the form of the tail that a transport
+panel accepts (the direct route's refinements agree within ABS_TOL
+itself).  Large coefficients are thus bounded relative to their size:
+double precision cannot reach an absolute 1e-10 on Li_8(x) at
+|x| = 1e6.
 
 Every path is interior.  The tangential base point at the puncture 0
 (tangent vector +1) is the one start on a puncture, and it is reached
@@ -49,7 +54,7 @@ from .words import Word, check_word
 
 # --- transport route: adaptive spectral panels --------------------------------------
 
-ABS_TOL = 1e-10     # absolute tolerance of both routes
+ABS_TOL = 1e-10     # tolerance of both routes: |error| <= ABS_TOL·max(1, |coefficient|)
 _CC_NODES = 41      # Chebyshev-Lobatto nodes per panel (degree 40)
 _PANEL_TOL = 1e-3   # tail allowed per panel, as a fraction of ABS_TOL
 _MAX_PANELS = 4096  # panel evaluations one transport may spend before it gives up

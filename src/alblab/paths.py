@@ -257,34 +257,39 @@ class Path:
         return self.segments[-1].end
 
     def concat(self, other: "Path") -> "Path":
-        _check_junction(self, other)
         return Path(self.segments + other.segments)
 
     def reversed(self) -> "Path":
-        return Path(tuple(s.reversed() for s in reversed(self.segments)))
+        return Path(_reversed(self.segments))
 
 
-def _check_junction(first: Path, second: Path) -> None:
-    """DomainError unless ``second`` can follow ``first``."""
-    if abs(first.end - second.start) > _CHAIN_TOL:
-        raise DomainError("paths do not chain")
+def _reversed(segments: tuple) -> tuple:
+    return tuple(s.reversed() for s in reversed(segments))
+
+
+def _gamma0(turns: int) -> tuple:
+    return (LogSegment(JUNCTION_RADIUS, JUNCTION_RADIUS, 0.0, 2 * math.pi * turns),)
+
+
+def _gamma1(turns: int) -> tuple:
+    turn = 1 - LOOP1_RADIUS
+    return (LineSegment(JUNCTION_RADIUS, turn),
+            LogSegment(turn, turn, 1.0, 2 * math.pi * turns),
+            LineSegment(turn, JUNCTION_RADIUS))
 
 
 def loop_gamma0(turns: int = 1) -> Path:
     """``turns`` circles about 0 through the junction point; positive = counterclockwise."""
     if turns == 0:
         raise DomainError("gamma0 with zero turns is an empty loop")
-    return Path((LogSegment(JUNCTION_RADIUS, JUNCTION_RADIUS, 0.0, 2 * math.pi * turns),))
+    return Path(_gamma0(turns))
 
 
 def loop_gamma1(turns: int = 1) -> Path:
     """Out along the real axis, ``turns`` times around 1, and back."""
     if turns == 0:
         raise DomainError("gamma1 with zero turns is an empty loop")
-    turn = 1 - LOOP1_RADIUS
-    return Path((LineSegment(JUNCTION_RADIUS, turn),
-                 LogSegment(turn, turn, 1.0, 2 * math.pi * turns),
-                 LineSegment(turn, JUNCTION_RADIUS)))
+    return Path(_gamma1(turns))
 
 
 # the key that names each form of a path spec, and the keys it may add
@@ -312,8 +317,6 @@ def make_path(spec) -> Path:
         if not spec["compose"]:
             raise DomainError("compose needs a non-empty list of path specs")
         parts = [make_path(s) for s in spec["compose"]]
-        for a, b in zip(parts, parts[1:]):
-            _check_junction(a, b)
         return Path(tuple(seg for p in parts for seg in p.segments))
 
     if form == "loop":
@@ -400,10 +403,8 @@ def loop_from_group_word(word) -> Path | None:
     from .malcev import GroupWord
     if isinstance(word, str):
         word = GroupWord.from_string(word)
-    path: Path | None = None
+    segments: tuple = ()
     for gen, sign in word.letters:
-        loop = loop_gamma0() if gen == "0" else loop_gamma1()
-        if sign < 0:
-            loop = loop.reversed()
-        path = loop if path is None else path.concat(loop)
-    return path
+        loop = _gamma0(1) if gen == "0" else _gamma1(1)
+        segments += loop if sign > 0 else _reversed(loop)
+    return Path(segments) if segments else None

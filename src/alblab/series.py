@@ -8,6 +8,7 @@ the word of length k read as the binary number b sits at 2**k - 1 + b.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -115,14 +116,18 @@ class TruncatedSeries:
     @classmethod
     def from_json(cls, data) -> "TruncatedSeries":
         """Read {"level": r, "coefficients": {word: [re, im], ...}}; the level
-        is checked before anything is allocated."""
+        is checked before anything is allocated, and every coefficient must be
+        finite."""
         expect(isinstance(data, dict) and is_json_int(data.get("level"))
                and isinstance(data.get("coefficients"), dict)
                and all(isinstance(c, list) for c in data["coefficients"].values()),
                'a series is {"level": r, "coefficients": {word: [re, im], ...}}')
         check_level(data["level"])
-        return cls.from_coeffs(data["level"], {w: as_complex(c)
-                                               for w, c in data["coefficients"].items()})
+        coeffs = {w: as_complex(c) for w, c in data["coefficients"].items()}
+        for w, c in coeffs.items():
+            if not cmath.isfinite(c):
+                raise DomainError(f"series coefficients must be finite, got {c} at {w!r}")
+        return cls.from_coeffs(data["level"], coeffs)
 
 
 def shuffle_defect(s: TruncatedSeries, u: Word, v: Word) -> complex:

@@ -28,10 +28,19 @@ def _rmf_argv(mat):
     return ["hodge", "rmf", "--matrix", json.dumps(mat), "--weights", json.dumps({"0": identity})]
 
 
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def strict_loads(text: str):
+    """json.loads refusing NaN, Infinity and -Infinity, which Python would accept."""
+    return json.loads(text, parse_constant=_refuse_constant)
+
+
 def run(capsys, argv):
     code = run_command(argv)
     out = capsys.readouterr().out
-    return code, (json.loads(out) if out.strip() else None)
+    return code, (strict_loads(out) if out.strip() else None)
 
 
 def _fresh_python(code: str, *args: str, stdin: str | None = None):
@@ -168,6 +177,31 @@ class TestExitCodes:
         code, out = run(capsys, ["ii", "signature", "--path", '{"loop":"gamma0","turns":1000}'])
         assert code == EXIT_NUMERIC
         assert out == {"error": "transport did not reach 1e-10 within 4096 panels"}
+
+    def test_non_finite_series_input(self, capsys):
+        # JSON reads 1e400 as an infinity: refused on input, naming finiteness
+        code, out = run(capsys, ["ii", "compose",
+                                 "--a", '{"level":2,"coefficients":{"":[1,0],"01":[1e400,0]}}',
+                                 "--b", '{"level":2,"coefficients":{"":[1,0],"0":[1,0]}}'])
+        assert code == EXIT_DOMAIN
+        assert "must be finite" in out["error"]
+
+    def test_non_finite_output(self, capsys):
+        # two finite coefficients whose product overflows: exit 2, never Infinity
+        code, out = run(capsys, ["ii", "compose",
+                                 "--a", '{"level":2,"coefficients":{"":[1,0],"0":[1e308,0]}}',
+                                 "--b", '{"level":2,"coefficients":{"":[1,0],"1":[1e308,0]}}'])
+        assert code == EXIT_NUMERIC
+        assert out == {"error": "non-finite output from ii compose: JSON has no NaN or infinity"}
+
+    def test_non_finite_selftest_report(self, capsys, monkeypatch):
+        from alblab import acceptance
+        nan_result = acceptance.CriterionResult(1, "dilog anchor", False, 1e-8, math.nan,
+                                                1, 1, 0.0)
+        monkeypatch.setattr(acceptance, "run_acceptance", lambda level: [nan_result])
+        code, out = run(capsys, ["selftest"])
+        assert code == EXIT_NUMERIC
+        assert out == {"error": "non-finite output from selftest: JSON has no NaN or infinity"}
 
     def test_targets_at_the_end_of_the_float_range(self, capsys):
         code, _ = run(capsys, ["alb", "map", "--x", "1e308"])
@@ -411,6 +445,8 @@ _POOL = (
     '{"coefficients":{}}', '{"level":2,"coefficients":{"0":5}}',
     '{"level":2,"coefficients":{"0":[1]}}', '{"level":2,"coefficients":{"0":["a",1]}}',
     '{"level":2,"coefficients":{"01":[1e400,0]}}', '{"level":2.5,"coefficients":{}}',
+    '{"level":2,"coefficients":{"":[1,0],"0":[1e308,0]}}',
+    '{"level":2,"coefficients":{"":[1,0],"1":[1e308,0]}}',
     '{"level":1000000000,"coefficients":{}}', '{"level":2,"coefficients":{"":[1,0],"0":[1,0]}}',
     '{"level":2,"coefficients":{"0":"1/0"}}', '{"level":2,"coefficients":{"0":[1]}}',
     '{"0":5}', '{"0":[1,2]}', '{"0":"1/0"}', '{"0":"1e999"}', '{"0":"1","1":"1"}', '{"2":"1"}',
@@ -453,7 +489,7 @@ class TestInputContract:
         elapsed = time.perf_counter() - start
         lines = capsys.readouterr().out.splitlines()
         assert code in _ALLOWED_EXITS
-        assert len(lines) == 1 and isinstance(json.loads(lines[0]), dict)
+        assert len(lines) == 1 and isinstance(strict_loads(lines[0]), dict)
         assert elapsed < 5, f"{argv} took {elapsed:.1f} s"
 
 
@@ -700,6 +736,16 @@ class TestBatch:
         assert out["results"][1]["output"]["generates"] is False
         assert out["results"][3]["output"]["generates"] is False
 
+    def test_batch_isolates_a_non_finite_answer(self, capsys, monkeypatch):
+        import io
+        a, b = (json.dumps({"level": 2, "coefficients": {"": [1, 0], letter: [1e308, 0]}})
+                for letter in "01")
+        requests = [["ii", "compose", "--a", a, "--b", b], ["words", "basis", "--r", "0"]]
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(requests)))
+        code, out = run(capsys, ["--json-in", "-"])
+        assert code == EXIT_OK
+        assert [r["exit_code"] for r in out["results"]] == [EXIT_NUMERIC, EXIT_OK]
+
     def test_batch_input_checked(self, capsys, monkeypatch, tmp_path):
         import io
         code, out = run(capsys, ["--json-in", str(tmp_path / "missing.json")])
@@ -727,7 +773,11 @@ class TestFrozenFloatOutput:
     ``alb map`` near 0, near 1, on the cut beyond 1, in the bulk and with
     a loop prefix, ``alb extend``, ``alb monodromy`` by word and by loop,
     ``ii regularized`` at levels 2 and 4, ``ii signature`` of a polyline
-    and of a compose of gamma0 and gamma1, and ``ii eval``.
+    and of a compose of gamma0 and gamma1, and ``ii eval``.  Then the float
+    ``hodge`` commands: ``filtration`` of a flag mixing rationals and
+    floats and of one with a -0.0 entry, ``transversal``, ``orbit``
+    holding and failing, ``chart`` inside and on the boundary, and
+    ``reduce``.
     """
 
     @pytest.mark.parametrize("case", FLOAT_FROZEN["cases"],

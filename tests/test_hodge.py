@@ -1,6 +1,7 @@
 """Period-domain machinery: flags, the orbit criterion, monodromy filtrations, the chart."""
 
 import cmath
+import itertools
 import json
 import math
 from fractions import Fraction
@@ -123,19 +124,34 @@ class TestOrbitCriterion:
         assert not generates_nilpotent_orbit(n, hodge_filtration_from(
             Fraction(4), Fraction(1), Fraction(1))).generates
 
-    def test_admissibility_always_on_lambda(self, rng):
-        for _ in range(20):
-            n = NilpotentEndo(*(Fraction(int(rng.integers(-3, 4))) for _ in range(3)))
-            f = hodge_filtration_from(*(Fraction(int(rng.integers(-3, 4))) for _ in range(3)))
-            assert generates_nilpotent_orbit(n, f).admissible
+    def test_weight_filtration_is_its_own_rmf(self):
+        # the lemma behind OrbitResult.admissible: every N lowers W by 2, so
+        # the relative monodromy filtration exists and is W itself
+        values = (Fraction(0), Fraction(1), Fraction(-2), Fraction(3, 7))
+        for a, b, c in itertools.product(values, repeat=3):
+            n = NilpotentEndo(a, b, c)
+            m = relative_monodromy_filtration(n, LAMBDA.weights)
+            assert m == LAMBDA.weights
+            assert verify_relative_monodromy(n, LAMBDA.weights, m)
+
+    def test_orbit_never_computes_the_rmf(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the orbit criterion computed a relative monodromy filtration")
+
+        monkeypatch.setattr(hodge, "relative_monodromy_filtration", refuse)
+        n = NilpotentEndo(1, 1, Fraction(1, 3))
+        for coords in ((Fraction(0), Fraction(1, 3), Fraction(5)), (0.25, 0.5 + 0.1j, -0.7)):
+            r = generates_nilpotent_orbit(n, hodge_filtration_from(*coords))
+            assert r.admissible
 
     def test_float_disagreement_at_the_tolerance_is_numerical(self):
         # a float flag is decided by the criterion within 1e-12 alone, so
         # transversality agrees with it on both sides of the tolerance
         f = hodge_filtration_from(0.0, 0.0, 0.0)
         for c, inside in (("1.2e-12", False), ("1.01e-12", False), ("0.99e-12", True), ("0", True)):
-            r = generates_nilpotent_orbit(NilpotentEndo(1, 0, Fraction(c)), f)
-            assert (r.generates, r.transversal) == (inside, inside)
+            n = NilpotentEndo(1, 0, Fraction(c))
+            r = generates_nilpotent_orbit(n, f)
+            assert (r.generates, griffiths_transversal(n, f)) == (inside, inside)
             assert r.criterion_defect == float(c)
 
     def test_exact_disagreement_stays_a_hard_error(self, monkeypatch):
@@ -300,7 +316,7 @@ class TestBoundaryChart:
         assert abs(cc.orbit_lambda - 0.25) < 1e-12
 
     def test_invariant_violation(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="beta = 0 on the boundary q = 0"):
             boundary_chart_point(0, 0.1, 0.0)
 
     def test_vertical_line_converges_to_orbit(self):
@@ -387,7 +403,8 @@ class TestFrozenRegression:
         for case in FROZEN["orbits"]:
             r = generates_nilpotent_orbit(NilpotentEndo(*map(Fraction, case["N"])),
                                           hodge_filtration_from(*map(Fraction, case["F"])))
-            assert (r.generates, str(r.criterion_defect), r.transversal, r.admissible,
+            # the frozen "transversal" is "generates": a disagreement raises
+            assert (r.generates, str(r.criterion_defect), r.generates, r.admissible,
                     r.reason) == (case["generates"], case["criterion_defect"],
                                   case["transversal"], case["admissible"], case["reason"])
 

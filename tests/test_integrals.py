@@ -3,6 +3,7 @@
 import cmath
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -28,9 +29,28 @@ def polylog_series(r: int, x: complex, terms: int = 400) -> complex:
     return sum(x ** n / n ** r for n in range(1, terms))
 
 
-def random_path(rng, n=3, margin=0.15):
+def bernoulli_numbers(n: int) -> list:
+    """B_0 .. B_n as Fractions, with B_1 = -1/2."""
+    b = [Fraction(1)]
+    for m in range(1, n + 1):
+        b.append(-sum(math.comb(m + 1, k) * b[k] for k in range(m)) / (m + 1))
+    return b
+
+
+def polylog_inverted(r: int, x: complex) -> complex:
+    """Li_r(x) for |x| > 1 off [1, oo), by Jonquiere's inversion formula
+    Li_r(x) + (-1)^r Li_r(1/x) = -(2 pi i)^r / r! B_r(1/2 + log(-x) / 2 pi i),
+    with Li_r(1/x) summed as its power series."""
+    t = 0.5 + cmath.log(-x) / (2j * math.pi)
+    bern = sum(math.comb(r, k) * float(b) * t ** (r - k)
+               for k, b in enumerate(bernoulli_numbers(r)))
+    inverse = polylog_series(r, 1 / x, terms=int(40 / math.log10(abs(x))) + 2)
+    return -(2j * math.pi) ** r / math.factorial(r) * bern - (-1) ** r * inverse
+
+
+def random_path(rng, n=3):
     from alblab.acceptance import random_interior_path
-    return random_interior_path(rng, n, margin)
+    return random_interior_path(rng, n)
 
 
 @dataclass(frozen=True)
@@ -90,9 +110,9 @@ class TestMakePath:
 
     def test_compose_checks_every_junction(self):
         ok = [{"waypoints": [0.25, 0.5]}, {"waypoints": [0.5, 0.25]}]
-        with pytest.raises(DomainError, match="paths do not chain"):
+        with pytest.raises(DomainError, match="path segments are disconnected"):
             make_path({"compose": ok + [{"waypoints": [0.3, 0.4]}]})
-        with pytest.raises(DomainError, match="paths do not chain"):
+        with pytest.raises(DomainError, match="path segments are disconnected"):
             make_path({"compose": ok + [{"waypoints": [0.25, 0.3]}, {"waypoints": [0.31, 0.4]}]})
 
     def test_compose_keeps_the_outer_anchors(self):
@@ -398,6 +418,16 @@ class TestReachNearOne:
 
 
 class TestRegularized:
+    @pytest.mark.parametrize("r", (4, 8))
+    @pytest.mark.parametrize("modulus", (1e2, 1e4, 1e6, 1e9, 1e12))
+    def test_large_polylog_meets_the_mixed_bound(self, r, modulus):
+        # the engine bounds each coefficient's error by ABS_TOL * max(1, |c|),
+        # not by ABS_TOL alone: at r = 8, |x| = 1e6 the error of Li_8 (about
+        # 5.3e4) is 7.5e-10, past the absolute 1e-10 but 1.4e-14 relative
+        x = cmath.rect(modulus, 2.0)
+        c = regularized_signature(x, r).coefficient("1" + "0" * (r - 1))
+        assert abs(c - polylog_inverted(r, x)) <= ABS_TOL * max(1.0, abs(c))
+
     def test_half_closed_forms(self):
         sig = regularized_signature(0.5, 2)
         assert abs(sig.coefficient("0") - cmath.log(0.5)) < 10 * ABS_TOL
