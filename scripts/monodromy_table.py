@@ -6,11 +6,13 @@ words; checks homomorphy against products of the generator matrices.
 Usage: python scripts/monodromy_table.py [words ...]
 """
 
+import math
 import sys
 
 import numpy as np
 
 from alblab.albanese import monodromy_action
+from alblab.hodge import Heisenberg
 
 DEFAULT_WORDS = ["0", "1", "0^-1", "1^-1", "0 1", "1 0",
                  "0 1 0^-1 1^-1", "0 0 1", "1^-1 0 1"]
@@ -18,17 +20,15 @@ DEFAULT_WORDS = ["0", "1", "0^-1", "1^-1", "0 1", "1 0",
 
 def main():
     words = sys.argv[1:] or DEFAULT_WORDS
-    basic = {"0": monodromy_action("0"), "1": monodromy_action("1")}
-    basic["0^-1"] = np.linalg.inv(basic["0"]).astype(int)
-    basic["1^-1"] = np.linalg.inv(basic["1"]).astype(int)
+    basic = {w: Heisenberg.of(monodromy_action(w).tolist()) for w in "01"}
+    basic.update({w + "^-1": g.inverse() for w, g in list(basic.items())})
     for word in words:
-        g = monodromy_action(word)
-        expected = np.eye(3, dtype=int)
-        for tok in word.split():
-            expected = expected @ basic[tok]
-        tag = "" if (g == expected).all() else "   <- disagrees with letter product!"
-        a, b, c = g[1][2], g[0][1], g[0][2]
-        print(f"{word:>16}:  (a,b,c) = ({a:2d},{b:2d},{c:2d})   {np.array2string(g.flatten())}{tag}")
+        mat = monodromy_action(word)
+        g = Heisenberg.of(mat.tolist())
+        expected = math.prod((basic[tok] for tok in word.split()), start=Heisenberg(0, 0, 0))
+        tag = "" if g == expected else "   <- disagrees with letter product!"
+        print(f"{word:>16}:  (a,b,c) = ({g.a:2d},{g.b:2d},{g.c:2d})   "
+              f"{np.array2string(mat.flatten())}{tag}")
 
 
 if __name__ == "__main__":

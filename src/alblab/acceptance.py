@@ -22,7 +22,7 @@ from . import linalg
 from .albanese import (albanese_point, check_lie_action, extended_albanese,
                        monodromy_action, monodromy_logarithms, raw_coordinates,
                        regression_constants)
-from .hodge import (LAMBDA, TWO_PI_I, NilpotentEndo, WeightFiltrationGeneric,
+from .hodge import (LAMBDA, TWO_PI_I, Heisenberg, NilpotentEndo, WeightFiltrationGeneric,
                     boundary_chart_point, griffiths_transversal, hodge_filtration_from,
                     relative_monodromy_filtration, verify_relative_monodromy)
 from .errors import DomainError
@@ -76,7 +76,7 @@ PATH_MARGIN = 0.15   # distance of a random interior path from both punctures
 FRACTION_NUM_MAX, FRACTION_DEN_MAX = 8, 6   # random rationals p/q, |p| <= 8, 1 <= q <= 6
 
 
-def random_interior_path(rng, n_waypoints: int = 3) -> Path:
+def random_interior_path(rng, n_waypoints: int) -> Path:
     """Random polyline staying PATH_MARGIN away from both punctures."""
     while True:
         pts = [complex(rng.uniform(-1.2, 2.0), rng.uniform(-1.0, 1.0))
@@ -339,6 +339,10 @@ def criterion_rmf(n_cases: int = 200) -> CriterionResult:
                    f"{checks} instances, search confirmed {found_both}")
 
 
+def _gap(g: Heisenberg, h: Heisenberg) -> float:
+    return float(max(abs(g.a - h.a), abs(g.b - h.b), abs(g.c - h.c)))
+
+
 def criterion_monodromy_integrality() -> CriterionResult:
     start = time.time()
     rng = np.random.default_rng(MONODROMY_SEED)
@@ -348,14 +352,11 @@ def criterion_monodromy_integrality() -> CriterionResult:
     basic = {}
     for name, word in (("gamma0", "0"), ("gamma1", "1")):
         try:
-            g = monodromy_action(word)
-            basic[word] = g
-            errors.append(float(np.max(np.abs(g - np.array(frozen[name])))))
+            basic[word] = Heisenberg.of(monodromy_action(word).tolist())
+            errors.append(_gap(basic[word], Heisenberg.of(frozen[name])))
         except Exception:
             hard += 1
-    inv = {}
-    for word, g in list(basic.items()):
-        inv[word + "^-1"] = np.linalg.inv(g).astype(int)
+    basic.update({word + "^-1": g.inverse() for word, g in list(basic.items())})
     words = []
     for _ in range(MONODROMY_WORDS):
         length = int(rng.integers(1, 5))
@@ -363,15 +364,13 @@ def criterion_monodromy_integrality() -> CriterionResult:
                    for _ in range(length)]
         words.append(" ".join(letters))
     for word in words:
-        try:
-            g = monodromy_action(word)
+        try:   # a generator that failed above fails every word that uses it
+            g = Heisenberg.of(monodromy_action(word).tolist())
+            expected = math.prod((basic[tok] for tok in word.split()), start=Heisenberg(0, 0, 0))
         except Exception:
             hard += 1
             continue
-        expected = np.eye(3, dtype=int)
-        for tok in word.split():
-            expected = expected @ (inv[tok] if tok.endswith("^-1") else basic[tok])
-        errors.append(float(np.max(np.abs(g - expected))))
+        errors.append(_gap(g, expected))
     return _result(6, "monodromy integrality + homomorphy", 1e-6, errors, start,
                    f"gamma0, gamma1 and {MONODROMY_WORDS} random words", hard)
 
@@ -379,13 +378,12 @@ def criterion_monodromy_integrality() -> CriterionResult:
 def criterion_heisenberg() -> CriterionResult:
     start = time.time()
     try:
-        g = monodromy_action("0 1 0^-1 1^-1")
+        g = Heisenberg.of(monodromy_action("0 1 0^-1 1^-1").tolist())
     except Exception as exc:
         return _result(7, "Heisenberg commutator", 0.0, [], start, f"exception: {exc}", 1)
-    a, b, c = g[1][2], g[0][1], g[0][2]
-    ok = (a == 0 and b == 0 and abs(c) == 1)
+    ok = (g.a == 0 and g.b == 0 and abs(g.c) == 1)
     return _result(7, "Heisenberg commutator", 0.0, [0.0 if ok else 1.0], start,
-                   f"commutator (a,b,c) = ({a},{b},{c})")
+                   f"commutator (a,b,c) = ({g.a},{g.b},{g.c})")
 
 
 def criterion_boundary_limit() -> CriterionResult:

@@ -14,14 +14,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from importlib import resources
 
 import numpy as np
 
 from . import linalg
 from .errors import DomainError
-from .hodge import TWO_PI_I, reduce_mod_integral
+from .hodge import LAMBDA, TWO_PI_I, Heisenberg, reduce_mod_integral
 from .integrals import ConvergenceError, regularized_loop_transport, regularized_signature
 from .series import TruncatedSeries
 
@@ -36,7 +35,7 @@ class AlbanesePoint:
     alpha: complex
     beta: complex
     lam: complex
-    reduction: tuple          # (a, b, c) of the integer matrix used to reduce
+    reduction: Heisenberg     # the integral element used to reduce
     loop_prefix: str = ""
     raw: tuple = ()           # unreduced coordinates, for continuation tests
 
@@ -52,8 +51,7 @@ class AlbanesePoint:
             "alpha": [self.alpha.real, self.alpha.imag],
             "beta": [self.beta.real, self.beta.imag],
             "lambda": [self.lam.real, self.lam.imag],
-            "reduction_matrix": [[1, self.reduction[1], self.reduction[2]],
-                                 [0, 1, self.reduction[0]], [0, 0, 1]],
+            "reduction_matrix": self.reduction.matrix(),
         }
 
 
@@ -64,17 +62,16 @@ def period_coordinates(s: TruncatedSeries) -> tuple:
             s.coefficient("10") / TWO_PI_I ** 2)
 
 
-def raw_coordinates(x, loop_prefix: str = "", level: int = 2) -> tuple:
+def raw_coordinates(x, loop_prefix: str = "") -> tuple:
     """Unreduced (alpha, beta, lambda) of x along the chosen homotopy class."""
-    return period_coordinates(regularized_signature(x, level, loop_prefix=loop_prefix))
+    return period_coordinates(regularized_signature(x, 2, loop_prefix=loop_prefix))
 
 
 def albanese_point(x, homotopy_class: str = "") -> AlbanesePoint:
     """Class of x in reduced coordinates; the class is path independent."""
     raw = raw_coordinates(x, loop_prefix=homotopy_class)
     reduced, g = reduce_mod_integral(*raw)
-    abc = (int(g[1][2]), int(g[0][1]), int(g[0][2]))
-    return AlbanesePoint(*reduced, reduction=abc, loop_prefix=homotopy_class, raw=raw)
+    return AlbanesePoint(*reduced, reduction=g, loop_prefix=homotopy_class, raw=raw)
 
 
 def extended_albanese(x) -> tuple:
@@ -98,53 +95,35 @@ def monodromy_action(loop) -> np.ndarray:
     ``loop`` is a group word (a string or a GroupWord), a path spec or a
     Path based on the positive real axis.  The period
     coordinates (a, b, c) of the loop's transport at the tangential base
-    point give the matrix [[1, b, c], [0, 1, a], [0, 0, 1]]; an entry more
-    than INTEGER_TOL from its integer raises ConvergenceError.
+    point are the Heisenberg element it returns as a matrix; a coordinate
+    more than INTEGER_TOL from its integer raises ConvergenceError.
     """
-    a, b, c = period_coordinates(regularized_loop_transport(loop, 2))
-    g = np.array([[1, b, c], [0, 1, a], [0, 0, 1]], dtype=complex)
-    rounded = np.rint(g.real)
-    defect = float(np.max(np.abs(g - rounded)))
+    coords = period_coordinates(regularized_loop_transport(loop, 2))
+    rounded = [round(v.real) for v in coords]
+    defect = max(abs(v - r) for v, r in zip(coords, rounded))
     if defect > INTEGER_TOL:
         raise ConvergenceError(
             f"continuation entries are {defect:.2e} away from integers")
-    return rounded.astype(int)
+    return np.array(Heisenberg(*rounded).matrix())
 
 
 # --- MHS morphism bookkeeping ---------------------------------------------------
 
 def monodromy_logarithms() -> dict:
     """{"N0": log M0, "N1": log M1} as exact Fraction matrices, where M0 and
-    M1 are the integer continuation matrices of the loops about 0 and 1.
-
-    Both are unipotent 3 x 3 upper-triangular, so (g - 1)^3 = 0 and
-    log g = (g - 1) - (g - 1)^2 / 2.
-    """
-    logs = {}
-    for name, word in (("N0", "0"), ("N1", "1")):
-        u = [[Fraction(int(x) - (i == j)) for j, x in enumerate(row)]
-             for i, row in enumerate(monodromy_action(word))]
-        logs[name] = [[x - y / 2 for x, y in zip(row, row2)]
-                      for row, row2 in zip(u, linalg.product(u, u))]
-    return logs
+    M1 are the integer continuation matrices of the loops about 0 and 1,
+    each the closed-form log of its Heisenberg element."""
+    return {name: Heisenberg.of(monodromy_action(word).tolist()).log().matrix()
+            for name, word in (("N0", "0"), ("N1", "1"))}
 
 
-_BASIS_WEIGHTS = (-4, -2, 0)
-_BASIS_TYPES = ((-2, -2), (-1, -1), (0, 0))
-
-
-def _check_operator(mat, op_weight: int, op_type: tuple) -> dict:
-    w_ok, f_ok = True, True
-    for i in range(3):
-        for j in range(3):
-            if mat[i][j] == 0:
-                continue
-            if _BASIS_WEIGHTS[i] > _BASIS_WEIGHTS[j] + op_weight:
-                w_ok = False
-            expected = (_BASIS_TYPES[j][0] + op_type[0], _BASIS_TYPES[j][1] + op_type[1])
-            if _BASIS_TYPES[i] != expected:
-                f_ok = False
-    return {"weight_compatible": w_ok, "type_compatible": f_ok}
+def _check_operator(mat, shift: int) -> dict:
+    """W- and type-compatibility of an operator of weight ``shift``; a basis vector
+    of LAMBDA has type (w/2, w/2), so a type-compatible entry shifts w by exactly that."""
+    weights = LAMBDA.weights.jumps
+    moves = [weights[i] - weights[j] for i in range(3) for j in range(3) if mat[i][j] != 0]
+    return {"weight_compatible": all(m <= shift for m in moves),
+            "type_compatible": all(m == shift for m in moves)}
 
 
 def check_lie_action(action: dict) -> dict:
@@ -153,9 +132,9 @@ def check_lie_action(action: dict) -> dict:
     bracket = [[x - y for x, y in zip(r, s)]
                for r, s in zip(linalg.product(n1, n0), linalg.product(n0, n1))]
     report = {
-        "N0": _check_operator(n0, -2, (-1, -1)),
-        "N1": _check_operator(n1, -2, (-1, -1)),
-        "[N1,N0]": _check_operator(bracket, -4, (-2, -2)),
+        "N0": _check_operator(n0, -2),
+        "N1": _check_operator(n1, -2),
+        "[N1,N0]": _check_operator(bracket, -4),
     }
     report["passes"] = all(v["weight_compatible"] and v["type_compatible"]
                            for k, v in report.items() if k != "passes")

@@ -236,14 +236,13 @@ def _h_hodge_chart(hodge, args):
         return {"kind": "orbit", "N": [str(n.a), str(n.b), str(n.c)],
                 "lambda": _cjson(cc.orbit_lambda)}
     return {"kind": "interior", "coords": [_cjson(x) for x in cc.coords],
-            "reduction": list(cc.reduction)}
+            "reduction": [cc.reduction.a, cc.reduction.b, cc.reduction.c]}
 
 
 def _h_hodge_reduce(hodge, args):
     alpha, beta, lam = _parse_triple(args.coords)
     reduced, g = hodge.reduce_mod_integral(alpha, beta, lam)
-    return {"reduced": [_fmt_number(x) for x in reduced],
-            "matrix": [[int(x) for x in row] for row in g]}
+    return {"reduced": [_fmt_number(x) for x in reduced], "matrix": g.matrix()}
 
 
 def _h_alb_map(albanese, args):

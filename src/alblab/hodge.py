@@ -1,11 +1,12 @@
-"""The rank-3 period domain and its rank-1 toroidal boundary chart.
+"""The rank-3 period domain, its level-2 group and its rank-1 toroidal boundary chart.
 
-The lattice data is the fixed rank-3 example: weights -4, -2, 0 with
-one-dimensional graded pieces, Hodge numbers concentrated in types
-(0,0), (-1,-1), (-2,-2).  A flag F(alpha, beta, lambda) is its three
-coordinates, from which it builds its generators; a nilpotent direction
-(a, b, c) pairs with F into a nilpotent orbit exactly when
-c = a*beta - b*alpha.  On exact flags this module decides it both by
+The level-2 group U_2, the Heisenberg group, lives here as ``Heisenberg``;
+its integral elements act on the flags and reduce them.  The lattice is
+the fixed rank-3 example: weights -4, -2, 0 with one-dimensional graded
+pieces, Hodge types (0,0), (-1,-1), (-2,-2).  A flag F(alpha, beta,
+lambda) is its three coordinates, from which it builds its generators; a
+nilpotent direction (a, b, c) pairs with F into a nilpotent orbit exactly
+when c = a*beta - b*alpha.  On exact flags this module decides it both by
 that closed criterion and independently by span membership; on float
 flags, where transversality is the same equation, by the criterion
 within CRITERION_TOL.
@@ -29,7 +30,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import linalg
-from .errors import DomainError
+from .errors import ConvergenceError, DomainError
 
 CRITERION_TOL = 1e-12
 TWO_PI_I = 2j * math.pi
@@ -188,15 +189,51 @@ class NilpotentEndo:
         return [[z, b, c], [z, z, a], [z, z, z]]
 
 
-def unipotent_matrix(a: int, b: int, c: int) -> tuple:
-    return ((1, b, c), (0, 1, a), (0, 0, 1))
+@dataclass(frozen=True)
+class Heisenberg:
+    """[[1, b, c], [0, 1, a], [0, 0, 1]] in U_2: a reduction, a monodromy or the
+    point F(alpha, beta, lambda).  The product is (a + a', b + b', c + c' + b a')."""
+
+    a: object
+    b: object
+    c: object
+
+    def matrix(self) -> list:
+        return [[1, self.b, self.c], [0, 1, self.a], [0, 0, 1]]
+
+    @classmethod
+    def of(cls, mat) -> "Heisenberg":
+        """The element of a unipotent upper-triangular 3 x 3 matrix."""
+        return cls(mat[1][2], mat[0][1], mat[0][2])
+
+    def __mul__(self, other: "Heisenberg") -> "Heisenberg":
+        return Heisenberg(self.a + other.a, self.b + other.b,
+                          self.c + other.c + self.b * other.a)
+
+    def inverse(self) -> "Heisenberg":
+        return Heisenberg(-self.a, -self.b, self.a * self.b - self.c)
+
+    def act(self, coords) -> tuple:
+        """Left multiplication on the coordinates (alpha, beta, lambda)."""
+        alpha, beta, lam = coords
+        return alpha + self.a, beta + self.b, lam + self.b * alpha + self.c
+
+    def log(self) -> NilpotentEndo:
+        """log g = (g - 1) - (g - 1)^2 / 2, as (g - 1)^3 = 0 and (g - 1)^2 = ab e13."""
+        return NilpotentEndo(self.a, self.b, self.c - Fraction(self.a * self.b, 2))
 
 
-def coordinate_action(g, coords):
-    """Left multiplication by [[1,b,c],[0,1,a],[0,0,1]] on (alpha, beta, lambda)."""
-    a, b, c = g[1][2], g[0][1], g[0][2]
-    alpha, beta, lam = coords
-    return alpha + a, beta + b, lam + b * alpha + c
+def _float_defect(n: NilpotentEndo, f: HodgeFiltration) -> complex:
+    """c - (a*beta - b*alpha) at a float flag: DomainError for an entry of N
+    past the float range, ConvergenceError for a defect that is not finite."""
+    try:
+        a, b, c = complex(n.a), complex(n.b), complex(n.c)
+    except OverflowError as exc:
+        raise DomainError("N entries must be within the float range beside a float flag") from exc
+    defect = c - (a * f.beta - b * f.alpha)
+    if not cmath.isfinite(defect):
+        raise ConvergenceError("the criterion defect c - (a*beta - b*alpha) is not finite")
+    return defect
 
 
 def griffiths_transversal(n: NilpotentEndo, f: HodgeFiltration) -> bool:
@@ -207,7 +244,7 @@ def griffiths_transversal(n: NilpotentEndo, f: HodgeFiltration) -> bool:
     so a float flag is decided by that equation within CRITERION_TOL.
     """
     if not f.exact:
-        return abs(n.c - (n.a * f.beta - n.b * f.alpha)) <= CRITERION_TOL
+        return abs(_float_defect(n, f)) <= CRITERION_TOL
     mat = n.matrix()
     for p in (0, -1):
         span = linalg.Subspace.span(f.generators(p - 1), 3)
@@ -235,7 +272,7 @@ def generates_nilpotent_orbit(n: NilpotentEndo, f: HodgeFiltration) -> OrbitResu
     group.  An exact flag is cross-checked against the span-membership
     route of transversality; a float flag's reason shows the defect as [re,im].
     """
-    defect = n.c - (n.a * f.beta - n.b * f.alpha)
+    defect = n.c - (n.a * f.beta - n.b * f.alpha) if f.exact else _float_defect(n, f)
     if f.exact:
         criterion = defect == 0
         if criterion != griffiths_transversal(n, f):
@@ -436,19 +473,18 @@ class ChartClass:
 
     kind: str                      # "interior" | "orbit"
     coords: tuple | None = None    # reduced (alpha, beta, lambda) for interior
-    reduction: tuple | None = None
+    reduction: Heisenberg | None = None
     orbit_generator: NilpotentEndo | None = None
     orbit_lambda: complex | None = None
 
 
 def reduce_mod_integral(alpha, beta, lam):
-    """Canonical orbit representative with real parts in [0, 1), plus the matrix used."""
+    """Canonical orbit representative with real parts in [0, 1), plus the
+    integral element of U_2 that moves the point there."""
     a = -_floor_int(alpha)
     b = -_floor_int(beta)
-    c = -_floor_int(lam + b * alpha)
-    g = unipotent_matrix(a, b, c)
-    reduced = coordinate_action(g, (alpha, beta, lam))
-    return reduced, g
+    g = Heisenberg(a, b, -_floor_int(lam + b * alpha))
+    return g.act((alpha, beta, lam)), g
 
 
 def boundary_chart_point(q, beta, lam) -> ChartClass:
@@ -463,5 +499,4 @@ def boundary_chart_point(q, beta, lam) -> ChartClass:
                           orbit_lambda=reduced[2])
     alpha = cmath.log(q) / TWO_PI_I
     reduced, g = reduce_mod_integral(alpha, beta, lam)
-    return ChartClass(kind="interior", coords=reduced,
-                      reduction=tuple(int(g[i][j]) for i, j in ((1, 2), (0, 1), (0, 2))))
+    return ChartClass(kind="interior", coords=reduced, reduction=g)

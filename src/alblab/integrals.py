@@ -63,11 +63,12 @@ _NOISE = 64 * np.finfo(float).eps   # tail that rounding alone leaves, relative 
 
 
 @lru_cache(maxsize=None)
-def _cc_tables(n: int = _CC_NODES):
+def _cc_tables():
     """One panel on [-1, 1]: 1 + x and 1 - x at the nodes, both without
     cancellation; the transposed Clenshaw-Curtis integration matrix
     (values -> antiderivative values, zero at -1); and the transposed map
     from values to the last two Chebyshev coefficients."""
+    n = _CC_NODES
     half = np.arange(n) * np.pi / (2 * (n - 1))
     x = -np.cos(2 * half)
     to_coef = np.linalg.inv(chebyshev.chebvander(x, n - 1))
@@ -158,7 +159,8 @@ _GL_NODES = 24
 
 
 @lru_cache(maxsize=None)
-def _gl_tables(n: int = _GL_NODES):
+def _gl_tables():
+    n = _GL_NODES
     x, w = np.polynomial.legendre.leggauss(n)
     vander = np.polynomial.legendre.legvander(x, n - 1)          # P_k(x_i)
     proj = ((2 * np.arange(n) + 1) / 2)[:, None] * (vander.T * w)  # values -> coefficients

@@ -86,11 +86,6 @@ class ExactSeries:
         return {"level": self.level,
                 "coefficients": {w: str(c) for w, c in sorted(self.coeffs.items())}}
 
-    @classmethod
-    def from_json(cls, data: dict) -> "ExactSeries":
-        return cls(int(data["level"]),
-                   {w: Fraction(c) for w, c in data["coefficients"].items()})
-
 
 def _numerators(coeffs: dict[Word, Fraction]) -> tuple[dict[Word, int], int]:
     """(n, d) with coeffs = n / d: integer numerators over the lcm d of the denominators."""

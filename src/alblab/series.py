@@ -87,8 +87,10 @@ class TruncatedSeries:
         if self.level != other.level:
             raise DomainError(f"level mismatch: {self.level} vs {other.level}")
         left, right = _split_table(self.level)
-        prod = np.append(self.array, 0)[left] * np.append(other.array, 0)[right]
-        return TruncatedSeries(self.level, prod.sum(axis=1))
+        # an overflow leaves inf or nan, which strict JSON output refuses
+        with np.errstate(over="ignore", invalid="ignore"):
+            prod = np.append(self.array, 0)[left] * np.append(other.array, 0)[right]
+            return TruncatedSeries(self.level, prod.sum(axis=1))
 
     def inverse(self) -> "TruncatedSeries":
         """Inverse of a series with constant term 1.  g·b = 1 read word by word
@@ -101,9 +103,10 @@ class TruncatedSeries:
         inv0 = 1 / g[0]
         b = np.zeros_like(g)
         b[0] = inv0
-        for k in range(1, self.level + 1):
-            rows = slice(2 ** k - 1, 2 ** (k + 1) - 1)
-            b[rows] = -inv0 * (g[left[rows, 1:k + 1]] * b[right[rows, 1:k + 1]]).sum(axis=1)
+        with np.errstate(over="ignore", invalid="ignore"):   # as in mul
+            for k in range(1, self.level + 1):
+                rows = slice(2 ** k - 1, 2 ** (k + 1) - 1)
+                b[rows] = -inv0 * (g[left[rows, 1:k + 1]] * b[right[rows, 1:k + 1]]).sum(axis=1)
         return TruncatedSeries(self.level, b)
 
     def distance(self, other: "TruncatedSeries") -> float:

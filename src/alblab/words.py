@@ -98,25 +98,6 @@ class ShuffleElement:
     def degree(self) -> int:
         return max((len(w) for w in self.coeffs), default=0)
 
-    def __add__(self, other: "ShuffleElement") -> "ShuffleElement":
-        out = dict(self.coeffs)
-        for w, c in other.coeffs.items():
-            out[w] = out.get(w, Fraction(0)) + c
-        return ShuffleElement(out)
-
-    def __sub__(self, other: "ShuffleElement") -> "ShuffleElement":
-        return self + other.scale(-1)
-
-    def scale(self, c) -> "ShuffleElement":
-        c = Fraction(c)
-        return ShuffleElement({w: c * x for w, x in self.coeffs.items()})
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, ShuffleElement) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(tuple(sorted(self.coeffs.items())))
-
     def to_json(self) -> dict[str, str]:
         return {w: str(c) for w, c in sorted(self.coeffs.items())}
 

@@ -47,3 +47,18 @@ def test_mhs_criterion_reads_the_computed_generators(monkeypatch):
     monkeypatch.setattr(albanese, "monodromy_action", shifted)
     result = criterion_mhs_morphism()
     assert not result.passed and result.failures == 1
+
+
+def test_failed_generator_is_counted_not_raised(monkeypatch):
+    import alblab.acceptance as acceptance
+    true_action = acceptance.monodromy_action
+
+    def failing(word):
+        if word == "0":
+            raise RuntimeError("transport failed")
+        return true_action(word)
+
+    monkeypatch.setattr(acceptance, "monodromy_action", failing)
+    result = acceptance.criterion_monodromy_integrality()
+    # every check is still counted: both generators and each random word
+    assert not result.passed and result.checks == 2 + acceptance.MONODROMY_WORDS

@@ -1,18 +1,18 @@
 """The degree-two Albanese map: values, monodromy, extension, MHS bookkeeping."""
 
 import cmath
+import itertools
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from alblab import linalg
+from alblab import albanese, linalg
 from alblab.albanese import (albanese_point, check_lie_action, extended_albanese,
                              monodromy_action, monodromy_logarithms, raw_coordinates,
                              regression_constants)
-from alblab.hodge import (TWO_PI_I, boundary_chart_point, coordinate_action,
-                          reduce_mod_integral, unipotent_matrix)
+from alblab.hodge import TWO_PI_I, Heisenberg, boundary_chart_point, reduce_mod_integral
 from alblab.integrals import ABS_TOL
 from alblab.paths import DomainError
 
@@ -154,7 +154,7 @@ class TestAlternativeForm:
         for _ in range(50):
             alpha, beta, lam = _random_rationals(rng, 3)
             mat = [[1, -alpha, lam], [0, 1, -beta], [0, 0, 1]]
-            inverse = unipotent_matrix(*_other_convention(alpha, beta, lam))
+            inverse = Heisenberg(*_other_convention(alpha, beta, lam)).matrix()
             identity = [[int(i == j) for j in range(3)] for i in range(3)]
             assert linalg.product(mat, inverse) == identity
             assert linalg.product(inverse, mat) == identity
@@ -165,9 +165,12 @@ class TestAlternativeForm:
         for _ in range(50):
             coords = _random_rationals(rng, 3)
             a, b, c = (int(v) for v in rng.integers(-5, 6, size=3))
-            moved = _other_convention(*coordinate_action(unipotent_matrix(a, b, c), coords))
-            assert moved == coordinate_action(unipotent_matrix(b, a, a * b - c),
-                                              _other_convention(*coords))
+            moved = _other_convention(*Heisenberg(a, b, c).act(coords))
+            assert moved == Heisenberg(b, a, a * b - c).act(_other_convention(*coords))
+
+
+def _element(word: str) -> Heisenberg:
+    return Heisenberg.of(monodromy_action(word).tolist())
 
 
 class TestMonodromyAction:
@@ -184,21 +187,23 @@ class TestMonodromyAction:
         g = monodromy_action("0 1 0^-1 1^-1")
         assert g.tolist() == regression_constants()["monodromy_matrices"]["commutator"]
 
+    def test_generator_commutator_is_frozen(self):
+        # the group law on the two generator images alone gives the frozen commutator
+        g0, g1 = (_element(word) for word in "01")
+        commutator = g0 * g1 * g0.inverse() * g1.inverse()
+        frozen = regression_constants()["monodromy_matrices"]["commutator"]
+        assert commutator == Heisenberg.of(frozen)
+
     def test_homomorphy(self):
-        g0 = monodromy_action("0")
-        g1 = monodromy_action("1")
-        g01 = monodromy_action("0 1")
-        assert (g01 == g0 @ g1).all()
-        g101 = monodromy_action("1 0 1^-1")
-        assert (g101 == g1 @ g0 @ np.linalg.inv(g1).astype(int)).all()
+        g0, g1 = (_element(word) for word in "01")
+        assert _element("0 1") == g0 * g1
+        assert _element("1 0 1^-1") == g1 * g0 * g1.inverse()
 
     def test_heisenberg_generation(self):
-        g0 = monodromy_action("0")
-        g1 = monodromy_action("1")
-        ab = np.array([[g0[1][2], g1[1][2]], [g0[0][1], g1[0][1]]])
-        assert abs(round(np.linalg.det(ab))) == 1  # abelianization generates Z^2
-        comm = monodromy_action("0 1 0^-1 1^-1")
-        assert abs(comm[0][2]) == 1                # commutator generates the center
+        g0, g1 = (_element(word) for word in "01")
+        assert abs(g0.a * g1.b - g1.a * g0.b) == 1   # abelianization generates Z^2
+        comm = _element("0 1 0^-1 1^-1")
+        assert abs(comm.c) == 1                    # commutator generates the center
 
 
 class TestExtendedMap:
@@ -264,7 +269,6 @@ class TestMHSMorphism:
 
     def test_logarithm_subtracts_half_the_square(self, monkeypatch):
         # a generator matrix with (g - 1)^2 != 0, as at higher level
-        import alblab.albanese as albanese
         monkeypatch.setattr(albanese, "monodromy_action",
                             lambda word: np.array([[1, 1, 0], [0, 1, 1], [0, 0, 1]]))
         assert monodromy_logarithms()["N0"] == [[0, 1, Fraction(-1, 2)], [0, 0, 1], [0, 0, 0]]
@@ -276,6 +280,21 @@ class TestMHSMorphism:
         assert report["N0"]["weight_compatible"]        # image stays in low weights
         assert not report["N0"]["type_compatible"]      # but mixes Hodge types
         assert not report["passes"]
+
+    @pytest.mark.parametrize("shift", (-2, -4))
+    def test_verdicts_match_the_type_table(self, shift):
+        # the rule read from the weights of LAMBDA gives the verdicts of the
+        # explicit table of e1, e2, e3: weights -4, -2, 0, types (w/2, w/2)
+        weights, types = (-4, -2, 0), ((-2, -2), (-1, -1), (0, 0))
+        for bits in itertools.product((0, 1), repeat=9):
+            mat = [bits[3 * i:3 * i + 3] for i in range(3)]
+            entries = [(i, j) for i in range(3) for j in range(3) if mat[i][j]]
+            expected = {
+                "weight_compatible": all(weights[i] <= weights[j] + shift for i, j in entries),
+                "type_compatible": all(types[i] == (types[j][0] + shift // 2,
+                                                    types[j][1] + shift // 2)
+                                       for i, j in entries)}
+            assert albanese._check_operator(mat, shift) == expected
 
     def test_weight_violation_detected(self):
         bad = {"N0": [[0, 0, 0], [0, 0, 0], [0, 1, 0]], "N1": monodromy_logarithms()["N1"]}

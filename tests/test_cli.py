@@ -148,6 +148,25 @@ class TestSpecExamples:
         assert code == EXIT_DOMAIN
         assert "finite" in out["error"]
 
+    @pytest.mark.parametrize("command", ("transversal", "orbit"))
+    def test_n_past_the_float_range_beside_a_float_flag(self, capsys, command):
+        code, out = run(capsys, ["hodge", command, "--N=1,0,1e400", "--F=0.5,0.1,0"])
+        assert (code, out) == (EXIT_DOMAIN, {
+            "error": "N entries must be within the float range beside a float flag"})
+
+    @pytest.mark.parametrize("command", ("transversal", "orbit"))
+    @pytest.mark.parametrize("flags", (("--N=10,10,0", "--F=1e308,1e308,0"),
+                                       ("--N=10,0,0", "--F=0.0,1e308,0")), ids=("nan", "inf"))
+    def test_non_finite_defect(self, capsys, command, flags):
+        # the float defect is inf - inf or -inf; the first one's exact defect is 0
+        code, out = run(capsys, ["hodge", command, *flags])
+        assert (code, out) == (EXIT_NUMERIC, {
+            "error": "the criterion defect c - (a*beta - b*alpha) is not finite"})
+
+    def test_finite_defect_next_to_the_overflow(self, capsys):
+        code, out = run(capsys, ["hodge", "transversal", "--N=10,10,0", "--F=1e307,1e307,0"])
+        assert (code, out) == (EXIT_OK, {"transversal": True})
+
     def test_alb_extend_zero(self, capsys):
         code, out = run(capsys, ["alb", "extend", "--x", "0"])
         assert code == EXIT_OK
@@ -745,6 +764,19 @@ class TestBatch:
         code, out = run(capsys, ["--json-in", "-"])
         assert code == EXIT_OK
         assert [r["exit_code"] for r in out["results"]] == [EXIT_NUMERIC, EXIT_OK]
+
+    def test_batch_answers_after_a_float_criterion_failure(self, capsys, monkeypatch):
+        import io
+        requests = [["hodge", command, "--N=1,0,1e400", "--F=0.5,0.1,0"]
+                    for command in ("transversal", "orbit")]
+        requests += [["hodge", "transversal", "--N=10,10,0", "--F=1e308,1e308,0"],
+                     ["words", "basis", "--r", "0"]]
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(requests)))
+        code, out = run(capsys, ["--json-in", "-"])
+        assert code == EXIT_OK
+        assert [r["exit_code"] for r in out["results"]] == [EXIT_DOMAIN, EXIT_DOMAIN,
+                                                             EXIT_NUMERIC, EXIT_OK]
+        assert out["results"][3]["output"]["words"] == [""]
 
     def test_batch_input_checked(self, capsys, monkeypatch, tmp_path):
         import io

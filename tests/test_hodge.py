@@ -7,19 +7,18 @@ import math
 from fractions import Fraction
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from alblab import hodge, linalg
 from alblab.acceptance import rmf_brute_force, rmf_profile
-from alblab.hodge import (LAMBDA, MAX_RMF_BITS, NilpotentEndo,
+from alblab.hodge import (LAMBDA, MAX_RMF_BITS, Heisenberg, NilpotentEndo,
                           WeightFiltrationGeneric, boundary_chart_point,
-                          coordinate_action, generates_nilpotent_orbit,
+                          generates_nilpotent_orbit,
                           griffiths_transversal, hodge_filtration_from,
                           reduce_mod_integral,
-                          relative_monodromy_filtration, unipotent_matrix,
+                          relative_monodromy_filtration,
                           verify_relative_monodromy)
 from alblab.errors import ConvergenceError
 from alblab.paths import DomainError
@@ -36,12 +35,12 @@ class TestFiltration:
     @given(frac, frac, frac, st.integers(-3, 3), st.integers(-3, 3), st.integers(-3, 3))
     @settings(max_examples=50, deadline=None)
     def test_left_multiplication_action(self, alpha, beta, lam, a, b, c):
-        g = unipotent_matrix(a, b, c)
-        moved = coordinate_action(g, (alpha, beta, lam))
+        g = Heisenberg(a, b, c)
+        moved = g.act((alpha, beta, lam))
         f_moved = hodge_filtration_from(*moved)
         # matrix-product oracle: apply g to the generators of F(alpha,beta,lam)
         f = hodge_filtration_from(alpha, beta, lam)
-        g_frac = [[Fraction(int(x)) for x in row] for row in g]
+        g_frac = [[Fraction(x) for x in row] for row in g.matrix()]
         for p in (0, -1):
             pushed = [linalg.apply(g_frac, v) for v in f.generators(p)]
             target = f_moved.generators(p)
@@ -250,17 +249,62 @@ class TestRelativeMonodromy:
                 assert found == [ours]
 
 
+rational = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+elements = st.builds(Heisenberg, rational, rational, rational)
+
+
+def _fraction_matrix(g: Heisenberg) -> list:
+    return [[Fraction(x) for x in row] for row in g.matrix()]
+
+
+class TestHeisenberg:
+    """The level-2 group law, inverse, action and log against 3 x 3 matrices."""
+
+    @given(elements, elements)
+    @settings(max_examples=100, deadline=None)
+    def test_product_is_the_matrix_product(self, g, h):
+        assert (g * h).matrix() == linalg.product(_fraction_matrix(g), _fraction_matrix(h))
+
+    @given(elements)
+    @settings(max_examples=100, deadline=None)
+    def test_inverse_is_the_matrix_inverse(self, g):
+        identity = [[int(i == j) for j in range(3)] for i in range(3)]
+        assert linalg.product(_fraction_matrix(g), _fraction_matrix(g.inverse())) == identity
+        assert g * g.inverse() == g.inverse() * g == Heisenberg(0, 0, 0)
+
+    @given(elements, rational, rational, rational)
+    @settings(max_examples=100, deadline=None)
+    def test_action_is_left_multiplication_of_the_point(self, g, alpha, beta, lam):
+        point = Heisenberg(alpha, beta, lam)
+        moved = linalg.product(_fraction_matrix(g), _fraction_matrix(point))
+        assert g.act((alpha, beta, lam)) == (moved[1][2], moved[0][1], moved[0][2])
+
+    @given(elements)
+    @settings(max_examples=100, deadline=None)
+    def test_matrix_round_trip(self, g):
+        assert Heisenberg.of(g.matrix()) == g
+
+    @given(elements)
+    @settings(max_examples=100, deadline=None)
+    def test_closed_form_log(self, g):
+        # (g - 1) - (g - 1)^2 / 2, as (g - 1)^3 = 0
+        u = [[x - (i == j) for j, x in enumerate(row)] for i, row in enumerate(_fraction_matrix(g))]
+        series = [[x - y / 2 for x, y in zip(row, row2)]
+                  for row, row2 in zip(u, linalg.product(u, u))]
+        assert g.log().matrix() == series
+
+
 class TestReduce:
     def test_identity(self):
         reduced, g = reduce_mod_integral(0.0, 0.0, 0.0)
         assert reduced == (0, 0, 0)
-        assert (np.array(g, dtype=float) == np.eye(3)).all()
+        assert g == Heisenberg(0, 0, 0)
 
     def test_worked_example(self):
         reduced, g = reduce_mod_integral(1.5, -0.25 + 1j, 2 + 0.5j)
         assert reduced == (0.5, 0.75 + 1j, 0.5 + 0.5j)
-        a, b, c = g[1][2], g[0][1], g[0][2]
-        assert (a, b, c) == (-1, 1, -3)
+        assert g == Heisenberg(-1, 1, -3)
+        assert g.matrix() == [[1, 1, -3], [0, 1, -1], [0, 0, 1]]
 
     def test_idempotent(self, rng):
         for _ in range(50):
@@ -268,13 +312,13 @@ class TestReduce:
             reduced, _ = reduce_mod_integral(*coords)
             again, g = reduce_mod_integral(*reduced)
             assert again == reduced
-            assert (np.array(g, dtype=float) == np.eye(3)).all()
+            assert g == Heisenberg(0, 0, 0)
 
     def test_orbit_invariance(self, rng):
         for _ in range(100):
             coords = tuple(complex(rng.normal() * 2, rng.normal()) for _ in range(3))
-            g = unipotent_matrix(*(int(x) for x in rng.integers(-5, 6, size=3)))
-            moved = coordinate_action(g, coords)
+            g = Heisenberg(*(int(x) for x in rng.integers(-5, 6, size=3)))
+            moved = g.act(coords)
             r1, _ = reduce_mod_integral(*coords)
             r2, _ = reduce_mod_integral(*moved)
             assert max(abs(a - b) for a, b in zip(r1, r2)) < 1e-12
@@ -288,8 +332,7 @@ class TestReduce:
     @given(frac, frac, frac, st.integers(-6, 6), st.integers(-6, 6), st.integers(-6, 6))
     @settings(max_examples=80, deadline=None)
     def test_exact_orbit_invariance(self, alpha, beta, lam, a, b, c):
-        g = unipotent_matrix(a, b, c)
-        moved = coordinate_action(g, (alpha, beta, lam))
+        moved = Heisenberg(a, b, c).act((alpha, beta, lam))
         r1, _ = reduce_mod_integral(alpha, beta, lam)
         r2, _ = reduce_mod_integral(*moved)
         assert r1 == r2
