@@ -9,8 +9,6 @@ Usage: python scripts/monodromy_table.py [words ...]
 import math
 import sys
 
-import numpy as np
-
 from alblab.albanese import monodromy_action
 from alblab.hodge import Heisenberg
 
@@ -23,12 +21,11 @@ def main():
     basic = {w: Heisenberg.of(monodromy_action(w).tolist()) for w in "01"}
     basic.update({w + "^-1": g.inverse() for w, g in list(basic.items())})
     for word in words:
-        mat = monodromy_action(word)
-        g = Heisenberg.of(mat.tolist())
+        g = Heisenberg.of(monodromy_action(word).tolist())
         expected = math.prod((basic[tok] for tok in word.split()), start=Heisenberg(0, 0, 0))
         tag = "" if g == expected else "   <- disagrees with letter product!"
         print(f"{word:>16}:  (a,b,c) = ({g.a:2d},{g.b:2d},{g.c:2d})   "
-              f"{np.array2string(mat.flatten())}{tag}")
+              f"{g.matrix()}{tag}")
 
 
 if __name__ == "__main__":

@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Every library operation is reachable from exactly one subcommand (the
+Each subcommand runs one library operation, and no two run the same (the
 table at the bottom is what the coverage test checks).  Output is strict
 JSON with sorted keys and fixed separators, so identical inputs produce
 byte-identical bytes.  Exit codes: 0 success, 1 domain error, 2
@@ -50,7 +50,6 @@ def _cjson(z) -> list:
 
 _RATIONAL = re.compile(r"^[+-]?\d+(/\d+)?$")
 _EXPONENT = re.compile(r"[eE][+-]?0*(\d{5,})")   # Fraction("1e9999999") takes seconds
-_WEIGHT = re.compile(r"[+-]?[0-9]{1,4300}")   # int() refuses longer digit strings
 
 
 def _fraction(value) -> Fraction:
@@ -105,12 +104,6 @@ def _path_arg(text: str):
     """A validated path from its JSON spec (the handler's float module has loaded paths)."""
     from .paths import make_path
     return make_path(_loads(text))
-
-
-def _rational_rows(data, what: str, width: int) -> list:
-    expect(isinstance(data, list) and all(isinstance(v, list) and len(v) == width for v in data),
-           f"{what} must be a list of lists of {width} rationals")
-    return [[_fraction(x) for x in row] for row in data]
 
 
 # --- handlers --------------------------------------------------------------------
@@ -193,12 +186,6 @@ def _h_hodge_filtration(hodge, args):
             "Fm1": [[_fmt_number(x) for x in v] for v in f.generators(-1)]}
 
 
-def _h_hodge_transversal(hodge, args):
-    n = hodge.NilpotentEndo(*_parse_triple(args.N, _fraction))
-    f = hodge.hodge_filtration_from(*_parse_triple(args.F))
-    return {"transversal": hodge.griffiths_transversal(n, f)}
-
-
 def _h_hodge_orbit(hodge, args):
     n = hodge.NilpotentEndo(*_parse_triple(args.N, _fraction))
     f = hodge.hodge_filtration_from(*_parse_triple(args.F))
@@ -207,25 +194,6 @@ def _h_hodge_orbit(hodge, args):
     return {"generates": result.generates,
             "criterion_defect": str(defect) if isinstance(defect, Fraction) else _cjson(defect),
             "admissible": result.admissible, "reason": result.reason}
-
-
-def _h_hodge_rmf(hodge, args):
-    raw = _loads(args.matrix)
-    mat = _rational_rows(raw, "--matrix", len(raw) if isinstance(raw, list) else 0)
-    hodge.check_rmf_dim(len(mat))   # before W's elimination
-    weights = _loads(args.weights)
-    expect(isinstance(weights, dict), "--weights maps integer weights to lists of vectors")
-    for k in weights:
-        expect(_WEIGHT.fullmatch(k) is not None,
-               f"--weights keys must be decimal integers, got {k!r}")
-    wdata = {int(k): _rational_rows(vs, f"weight {k}", len(mat)) for k, vs in weights.items()}
-    expect(len(wdata) == len(weights), "--weights names the same weight twice")
-    hodge.check_rmf_bits(mat, [v for vs in wdata.values() for v in vs])   # before W's elimination
-    w = hodge.WeightFiltrationGeneric.from_dict(wdata, len(mat))
-    m = hodge.relative_monodromy_filtration(mat, w)
-    if m is None:
-        return {"exists": False}
-    return {"exists": True, "filtration": m.to_json()}
 
 
 def _h_hodge_chart(hodge, args):
@@ -308,13 +276,8 @@ COMMAND_TABLE = {
                             ("--level", dict(type=int, default=2))]),
     "hodge_filtration_from": ("hodge filtration", _h_hodge_filtration, "hodge",
                               [("--F", dict(required=True))]),
-    "griffiths_transversal": ("hodge transversal", _h_hodge_transversal, "hodge",
-                              [("--N", dict(required=True)), ("--F", dict(required=True))]),
     "generates_nilpotent_orbit": ("hodge orbit", _h_hodge_orbit, "hodge",
                                   [("--N", dict(required=True)), ("--F", dict(required=True))]),
-    "relative_monodromy_filtration": ("hodge rmf", _h_hodge_rmf, "hodge",
-                                      [("--matrix", dict(required=True)),
-                                       ("--weights", dict(required=True))]),
     "boundary_chart_point": ("hodge chart", _h_hodge_chart, "hodge",
                              [("--q", dict(required=True)), ("--beta", dict(required=True)),
                               ("--lambda", dict(required=True))]),

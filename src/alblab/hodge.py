@@ -18,6 +18,7 @@ bottom-up pass over the weights (Jordan chains on each graded piece of W,
 their tops corrected into the part already built); its pure case, a
 single weight, is Deligne's monodromy filtration.
 ``verify_relative_monodromy`` checks both defining conditions directly.
+No command reads an (N, W): the selftest builds its own.
 
 Exact rational arithmetic is used whenever every input is rational.
 """
@@ -237,14 +238,11 @@ def _float_defect(n: NilpotentEndo, f: HodgeFiltration) -> complex:
 
 
 def griffiths_transversal(n: NilpotentEndo, f: HodgeFiltration) -> bool:
-    """N F^p ⊆ F^{p-1} for all p.
+    """N F^p ⊆ F^{p-1} for all p, at an exact flag, by span membership.
 
-    An exact flag is decided by span membership.  N F^0 ⊆ F^{-1} is the
-    equation c = a*beta - b*alpha and N F^{-1} ⊆ F^{-2} = C^3 always holds,
-    so a float flag is decided by that equation within CRITERION_TOL.
+    This is the independent oracle of the criterion c = a*beta - b*alpha,
+    which ``generates_nilpotent_orbit`` and the selftest check it against.
     """
-    if not f.exact:
-        return abs(_float_defect(n, f)) <= CRITERION_TOL
     mat = n.matrix()
     for p in (0, -1):
         span = linalg.Subspace.span(f.generators(p - 1), 3)
@@ -272,14 +270,15 @@ def generates_nilpotent_orbit(n: NilpotentEndo, f: HodgeFiltration) -> OrbitResu
     group.  An exact flag is cross-checked against the span-membership
     route of transversality; a float flag's reason shows the defect as [re,im].
     """
-    defect = n.c - (n.a * f.beta - n.b * f.alpha) if f.exact else _float_defect(n, f)
     if f.exact:
+        defect = n.c - (n.a * f.beta - n.b * f.alpha)
         criterion = defect == 0
         if criterion != griffiths_transversal(n, f):
             raise RuntimeError(f"criterion and transversality disagree at N={n}, "
                                f"coords={f.coordinates()}")
         shown = str(defect)
     else:
+        defect = _float_defect(n, f)
         criterion = abs(defect) <= CRITERION_TOL
         shown = f"[{defect.real!r},{defect.imag!r}]"
     reason = "criterion c = a*beta - b*alpha " + ("holds" if criterion else
@@ -297,34 +296,6 @@ def _matrix_of(n) -> list:
     rows = n.matrix() if isinstance(n, NilpotentEndo) else n
     return linalg.integer_matrix([[x if isinstance(x, (int, Fraction)) else Fraction(x)
                                    for x in row] for row in rows])
-
-
-MAX_RMF_DIM = 48  # a conjugated 48 x 48 Jordan block, the slowest input tried, takes about 1.3 s
-
-
-def check_rmf_dim(dim: int) -> None:
-    """DomainError past MAX_RMF_DIM, before any elimination."""
-    if dim > MAX_RMF_DIM:
-        raise DomainError(f"the dimension must be between 0 and {MAX_RMF_DIM}, got {dim}")
-
-
-MAX_RMF_BITS = 192  # dimension x bits of the widest entry; at 48 x 4 the slowest input tried takes 1.1-1.7 s in the CLI
-
-
-def check_rmf_bits(mat, vectors=()) -> None:
-    """DomainError when the dimension times the bit length of the widest entry
-    passes MAX_RMF_BITS, before N's powers and any elimination.
-
-    The entries are those of N's integer multiple (linalg.integer_matrix) and
-    of each vector's.  A k x k minor of such rows, b bits an entry, has at most
-    k(b + log2 k) bits (Hadamard), so this bounds the integers that every
-    power and elimination meets.
-    """
-    rows = linalg.integer_matrix(mat) + [linalg.integer_matrix([v])[0] for v in vectors]
-    widest = max((abs(x).bit_length() for row in rows for x in row), default=0)
-    if len(mat) * widest > MAX_RMF_BITS:
-        raise DomainError(f"the dimension times the bits of the widest entry must be at most "
-                          f"{MAX_RMF_BITS}, got {len(mat)} x {widest}")
 
 
 def _powers(mat) -> list:
@@ -385,8 +356,6 @@ def relative_monodromy_filtration(n, w: WeightFiltrationGeneric):
     """
     mat = _matrix_of(n)
     dim = len(mat)
-    check_rmf_dim(dim)
-    check_rmf_bits(mat)
     powers = _powers(mat)   # DomainError unless N is nilpotent
     for _, sub in w.steps:
         for v in sub.rows:

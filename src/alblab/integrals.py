@@ -30,9 +30,7 @@ S(z) = exp(log z·e0)·H(z) with H holomorphic and H(0) = 1 (Deligne
 1989), and ``holomorphic_part`` sums the power series of H.  Every reach
 and every loop starts at the junction point 1/8, so one constant per
 level, S(1/8) = exp(log(1/8)·e0)·H(1/8), turns a transport from
-there into a regularized one.  ``tangential_iterated_integral``
-needs no series: its words start with the letter 1, so the direct
-quadrature runs on the segment from 0 itself.
+there into a regularized one.
 """
 
 from __future__ import annotations
@@ -46,9 +44,8 @@ from numpy.polynomial import chebyshev
 
 from .errors import ConvergenceError, DomainError
 from .malcev import GroupWord
-from .paths import (JUNCTION_RADIUS, PUNCTURES, LineSegment, Path, canonical_reach,
-                    check_clear, loop_from_group_word, make_path)
-from .series import TruncatedSeries, check_level, exp_letter
+from .paths import JUNCTION_RADIUS, Path, canonical_reach, loop_from_group_word, make_path
+from .series import MAX_FLOAT_LEVEL, TruncatedSeries, check_level, exp_letter
 from .words import Word, check_word
 
 
@@ -57,8 +54,7 @@ from .words import Word, check_word
 ABS_TOL = 1e-10     # tolerance of both routes: |error| <= ABS_TOL·max(1, |coefficient|)
 _CC_NODES = 41      # Chebyshev-Lobatto nodes per panel (degree 40)
 _PANEL_TOL = 1e-3   # tail allowed per panel, as a fraction of ABS_TOL
-_MAX_PANELS = 4096  # panel evaluations one transport may spend before it gives up
-_MAX_REFINEMENTS = 10  # panel doublings the nested quadrature may spend before it gives up
+_MAX_PANELS = 4096  # panel evaluations one transport or one quadrature may spend
 _NOISE = 64 * np.finfo(float).eps   # tail that rounding alone leaves, relative to the forcing
 
 
@@ -175,7 +171,8 @@ def _gl_tables():
     return x, w, intmat
 
 
-def _nested_quadrature(segments: tuple, letters: str, panels: int) -> complex:
+def _nested_quadrature(segments: tuple, letters: str, panels: int) -> np.ndarray:
+    """The integrals of every prefix of the letters, the empty prefix first."""
     x, w, intmat = _gl_tables()
     r = len(letters)
     g_start = np.zeros(r + 1, dtype=complex)
@@ -195,35 +192,37 @@ def _nested_quadrature(segments: tuple, letters: str, panels: int) -> complex:
                 gvals[j] = g_start[j] + scale * (intmat @ h)
                 new_start[j] = g_start[j] + scale * (w @ h)
             g_start = new_start
-    return complex(g_start[r])
+    return g_start
 
 
 def iterated_integral(word: Word, path, with_error: bool = False):
     """Simplex iterated integral of the word along the path, by direct quadrature.
 
-    The empty word gives 1.  Panels are doubled until two refinements
-    agree within ABS_TOL; the independent transport route never enters.
+    The empty word gives 1, and words longer than MAX_FLOAT_LEVEL are
+    refused.  The independent transport route never enters.
     """
-    check_word(word)
-    value, err = _refined_quadrature(make_path(path).segments, word)
+    if len(check_word(word)) > MAX_FLOAT_LEVEL:
+        raise DomainError(f"word length must be between 0 and {MAX_FLOAT_LEVEL}, got {len(word)}")
+    segments = make_path(path).segments
+    value, err = _refined_quadrature(segments, word) if word else (1.0 + 0j, 0.0)
     return (value, err) if with_error else value
 
 
 def _refined_quadrature(segments: tuple, word: Word) -> tuple[complex, float]:
-    """Nested quadrature with panels doubled until two refinements agree within ABS_TOL."""
-    if word == "":
-        return 1.0 + 0j, 0.0
-    panels = 2
-    prev = _nested_quadrature(segments, word, panels)
-    for _ in range(_MAX_REFINEMENTS):
-        panels *= 2
+    """Nested quadrature with panels doubled until two refinements agree
+    within ABS_TOL on every prefix of the word, and its error estimate on
+    the word itself.  A prefix that has not settled leaves the word's own
+    agreement meaningless: next to a puncture both can stall on the same
+    wrong value.  ConvergenceError once the next refinement would take the
+    panels over all segments past _MAX_PANELS: ten doublings on one segment."""
+    budget, panels, prev = _MAX_PANELS, 2, None
+    while (budget := budget - len(segments) * panels) >= 0:
         cur = _nested_quadrature(segments, word, panels)
-        err = abs(cur - prev)
-        if err < ABS_TOL:
-            return cur, err
-        prev = cur
-    raise ConvergenceError(
-        f"quadrature did not reach {ABS_TOL:g} within {_MAX_REFINEMENTS} refinements")
+        if prev is not None and np.abs(cur - prev).max() < ABS_TOL:
+            value = complex(cur[-1])
+            return value, abs(value - complex(prev[-1]))
+        prev, panels = cur, 2 * panels
+    raise ConvergenceError(f"quadrature did not reach {ABS_TOL:g} within {_MAX_PANELS} panels")
 
 
 # --- the tangential base point -----------------------------------------------------
@@ -346,19 +345,3 @@ def regularized_loop_transport(loop, r: int = 2) -> TruncatedSeries:
     if abs(base - JUNCTION_RADIUS) > 1e-12:
         conj = conj.mul(TruncatedSeries(r, transport(canonical_reach(base), r)))
     return conj.mul(TruncatedSeries(r, transport(loop_path, r))).mul(conj.inverse())
-
-
-def tangential_iterated_integral(word: Word, x) -> complex:
-    """Iterated integral from the tangential base point (0, +1) to x along [0, x].
-
-    Only words not starting with the letter "0" converge at the base
-    point.  For those the integrand is analytic at 0, so the direct
-    quadrature runs on the segment from 0 itself, sharing nothing with
-    the series at the base point.
-    """
-    check_word(word)
-    if word and word[0] == "0":
-        raise DomainError("words starting with dz/z diverge at the tangential base point")
-    segment = LineSegment(0j, complex(x))
-    check_clear(segment, PUNCTURES[1])
-    return _refined_quadrature((segment,), word)[0]
